@@ -12,16 +12,15 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import click
-import numpy as np
 
 from .errors import ConfigError, PitnearError, UnknownEstimatorError
 from .estimators import LossFn, resolve_estimator
-from .gpn import SweepCell, gpn_sweep
+from .gpn import SweepCell, derive_cell_seed, gpn_sweep
 from .models import model_from_config
 
 __all__ = ["main", "run_table", "run_config_file", "TABLES", "TableSpec"]
@@ -145,11 +144,6 @@ def _config_label(values: Sequence[float]) -> str:
     return "(" + ",".join(f"{v:g}" for v in values) + ")"
 
 
-def _derive_column_seed(seed: int, table_number: int, column: int) -> int:
-    ss = np.random.SeedSequence([seed % 2 ** 64, table_number, column])
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _csv_text(rows: list[tuple[str, SweepCell]], with_oracle: bool) -> str:
     header = ["pair", "gap", "gpn", "std_error", "tie_fraction", "n", "seed"]
     if with_oracle:
@@ -210,7 +204,7 @@ def run_table(
             spec.gaps,
             loss,
             n_samples=n_samples,
-            base_seed=_derive_column_seed(seed, spec.number, col),
+            base_seed=derive_cell_seed(seed, spec.number, col),
             oracle=oracle,
         )
         columns.append((_config_label(config), cells))
@@ -317,8 +311,8 @@ def _validate_config(cfg: dict) -> dict:
 
 
 def _model_label(model) -> str:
-    fields = {k: v for k, v in vars(model).items() if not k.startswith("_")}
-    inner = ",".join(f"{k}={v:g}" for k, v in fields.items())
+    # dataclass fields only: cached properties are not part of the model spec
+    inner = ",".join(f"{f.name}={getattr(model, f.name):g}" for f in fields(model))
     return f"{type(model).__name__}({inner})"
 
 
@@ -386,8 +380,8 @@ def run_config_dict(cfg: dict) -> str:
     return "\n".join([title, ""] + _md_table(header, body)) + "\n"
 
 
-def run_config_file(path: str | Path) -> str:
-    """Load and execute a JSON run config; returns the rendered text."""
+def _load_config(path: str | Path) -> dict:
+    """Read and parse a JSON run config whose root must be an object."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as e:
@@ -396,7 +390,14 @@ def run_config_file(path: str | Path) -> str:
         cfg = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
-    return run_config_dict(cfg)
+    if not isinstance(cfg, dict):
+        raise ConfigError("config root must be a JSON object")
+    return cfg
+
+
+def run_config_file(path: str | Path) -> str:
+    """Load and execute a JSON run config; returns the rendered text."""
+    return run_config_dict(_load_config(path))
 
 
 def _emit(text: str, output_file: Optional[str]) -> None:
@@ -462,13 +463,7 @@ def table_command(table_id, samples, seed, oracle, out, output_file):
 def run_command(config, samples, seed, oracle, out, output_file):
     """Run the comparison sweep described by a JSON CONFIG file."""
     try:
-        raw = Path(config).read_text(encoding="utf-8")
-        try:
-            cfg = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {config} is not valid JSON: {e}") from e
-        if not isinstance(cfg, dict):
-            raise ConfigError("config root must be a JSON object")
+        cfg = _load_config(config)
         if samples is not None:
             cfg["n_samples"] = samples
         if seed is not None:

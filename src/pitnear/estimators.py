@@ -10,6 +10,7 @@ catalog.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -76,10 +77,6 @@ class LossFn:
             return ProblemKind.LOCATION
         return ProblemKind.SCALE
 
-    @property
-    def is_absolute(self) -> bool:
-        return self.kind in (LossKind.LOCATION_ABS, LossKind.SCALE_ABS)
-
     def evaluate(self, estimate, theta):
         if self.kind is LossKind.LOCATION_ABS:
             return np.abs(estimate - theta)
@@ -102,7 +99,11 @@ class LossFn:
 
 @dataclass(frozen=True)
 class Estimator:
-    """A named equivariant estimator given by its kernel on the contrast."""
+    """A named equivariant estimator given by its kernel on the contrast.
+
+    The kernel psi receives the contrast as float64 (an array, or a numpy
+    scalar from scalar evaluation) and returns float64 of the same shape.
+    """
 
     name: str
     target: int
@@ -130,11 +131,19 @@ class Estimator:
 class ClampBounds:
     """Extended-real bounds (l, u) bracketing the conditional median for
     every gap value; +-inf arms are represented as actual infinities.
+
+    Like a kernel, each bound receives the contrast as float64 and returns
+    float64 of the same shape.
     """
 
     lower: Callable[[np.ndarray], np.ndarray]
     upper: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple[float, ...] = ()
+
+
+def _constant(c: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The kernel or bound that is c at every contrast value."""
+    return lambda t: np.full_like(t, c)
 
 
 def beta_weight(alpha: float) -> float:
@@ -215,51 +224,42 @@ def default_bounds(model: ModelSpec, component: int) -> ClampBounds:
         else:
             low_finite, up_finite = a <= 0.0, a >= 0.0
 
-        def lower(t):
-            t = np.asarray(t, dtype=float)
-            return slope * t if low_finite else np.full_like(t, -np.inf)
+        def linear(t):
+            return slope * t
 
-        def upper(t):
-            t = np.asarray(t, dtype=float)
-            return slope * t if up_finite else np.full_like(t, np.inf)
-
-        return ClampBounds(lower, upper)
+        return ClampBounds(
+            lower=linear if low_finite else _constant(-np.inf),
+            upper=linear if up_finite else _constant(np.inf),
+        )
     if isinstance(model, ExponentialLocation):
         c = model.pooled_scale * _LN2
         if component == 1:
             return ClampBounds(
-                lower=lambda t: np.maximum(0.0, -np.asarray(t, dtype=float)) + c,
-                upper=lambda t: np.full_like(np.asarray(t, dtype=float), np.inf),
+                lower=lambda t: np.maximum(0.0, -t) + c,
+                upper=_constant(np.inf),
                 breakpoints=(0.0,),
             )
         return ClampBounds(
-            lower=lambda t: np.full_like(np.asarray(t, dtype=float), c),
-            upper=lambda t: np.maximum(np.asarray(t, dtype=float), 0.0) + c,
+            lower=_constant(c),
+            upper=lambda t: np.maximum(t, 0.0) + c,
             breakpoints=(0.0,),
         )
     if isinstance(model, GammaScale):
         nu = model.pooled_median
         if component == 1:
-            return ClampBounds(
-                lower=lambda t: nu / (1.0 + np.asarray(t, dtype=float)),
-                upper=lambda t: np.full_like(np.asarray(t, dtype=float), nu),
-            )
-        return ClampBounds(
-            lower=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            upper=lambda t: nu * np.asarray(t, dtype=float)
-            / (1.0 + np.asarray(t, dtype=float)),
-        )
+            return ClampBounds(lower=lambda t: nu / (1.0 + t), upper=_constant(nu))
+        return ClampBounds(lower=_constant(0.0), upper=lambda t: nu * t / (1.0 + t))
     if isinstance(model, PowerScale):
         m = 2.0 ** (-1.0 / model.shape_sum)
         if component == 1:
             return ClampBounds(
-                lower=lambda t: m * np.minimum(1.0, 1.0 / np.asarray(t, dtype=float)),
-                upper=lambda t: np.full_like(np.asarray(t, dtype=float), m),
+                lower=lambda t: m * np.minimum(1.0, 1.0 / t),
+                upper=_constant(m),
                 breakpoints=(1.0,),
             )
         return ClampBounds(
-            lower=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            upper=lambda t: m * np.minimum(1.0, np.asarray(t, dtype=float)),
+            lower=_constant(0.0),
+            upper=lambda t: m * np.minimum(1.0, t),
             breakpoints=(1.0,),
         )
     raise UnsupportedCaseError(f"no bounds for model {type(model).__name__}")
@@ -270,86 +270,80 @@ def _with_breakpoints(est: Estimator, points) -> Estimator:
     return replace(est, breakpoints=pts)
 
 
-def _normal_catalog(model: BivariateNormal, component: int) -> list[Estimator]:
+def _normal_catalog(model: BivariateNormal, component: int) -> tuple[Estimator, ...]:
     a = model.alpha
     b = beta_weight(a)
     kind = ProblemKind.LOCATION
     bounds = default_bounds(model, component)
     if component == 1:
-        pnlee = Estimator("pnlee", 1, kind, lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+        pnlee = Estimator("pnlee", 1, kind, _constant(0.0))
         rmle = Estimator(
             "rmle", 1, kind,
-            lambda t: (1.0 - a) * np.maximum(0.0, -np.asarray(t, dtype=float)),
+            lambda t: (1.0 - a) * np.maximum(0.0, -t),
             breakpoints=(0.0,),
         )
         hp = Estimator(
             "hp", 1, kind,
-            lambda t: np.maximum(0.0, (a - 1.0) * np.asarray(t, dtype=float)),
+            lambda t: np.maximum(0.0, (a - 1.0) * t),
             breakpoints=(0.0,),
         )
         pdt = Estimator(
             "pdt", 1, kind,
-            lambda t: (1.0 - b) * np.maximum(0.0, -np.asarray(t, dtype=float)),
+            lambda t: (1.0 - b) * np.maximum(0.0, -t),
             breakpoints=(0.0,),
         )
-        out = [pnlee, rmle, hp, pdt]
         if a > 1.0:
-            out.append(clamp_location(hp, bounds))  # hp_star: the linear blend
-        return out
-    pnlee = Estimator("pnlee", 2, kind, lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+            # hp_star: the linear blend
+            return pnlee, rmle, hp, pdt, clamp_location(hp, bounds)
+        return pnlee, rmle, hp, pdt
+    pnlee = Estimator("pnlee", 2, kind, _constant(0.0))
     rmle = Estimator(
         "rmle", 2, kind,
-        lambda t: -a * np.maximum(0.0, -np.asarray(t, dtype=float)),
+        lambda t: -a * np.maximum(0.0, -t),
         breakpoints=(0.0,),
     )
     hp = Estimator(
         "hp", 2, kind,
-        lambda t: -np.maximum(0.0, -a * np.asarray(t, dtype=float)),
+        lambda t: -np.maximum(0.0, -a * t),
         breakpoints=(0.0,),
     )
     pdt = Estimator(
         "pdt", 2, kind,
-        lambda t: -b * np.maximum(0.0, -np.asarray(t, dtype=float)),
+        lambda t: -b * np.maximum(0.0, -t),
         breakpoints=(0.0,),
     )
     pnlee_star = _with_breakpoints(clamp_location(pnlee, bounds), (0.0,))
     rmle_star = clamp_location(rmle, bounds)
-    return [pnlee, rmle, hp, pdt, pnlee_star, rmle_star]
+    return pnlee, rmle, hp, pdt, pnlee_star, rmle_star
 
 
-def _exponential_catalog(model: ExponentialLocation, component: int) -> list[Estimator]:
+def _exponential_catalog(
+    model: ExponentialLocation, component: int
+) -> tuple[Estimator, ...]:
     kind = ProblemKind.LOCATION
     s1, s2 = model.sigma1, model.sigma2
     c = model.pooled_scale * _LN2
     bounds = default_bounds(model, component)
     if component == 1:
-        pnlee = Estimator(
-            "pnlee", 1, kind,
-            lambda t: np.full_like(np.asarray(t, dtype=float), s1 * _LN2),
-        )
+        pnlee = Estimator("pnlee", 1, kind, _constant(s1 * _LN2))
         rmle = Estimator(
             "rmle", 1, kind,
-            lambda t: np.maximum(0.0, -np.asarray(t, dtype=float)),
+            lambda t: np.maximum(0.0, -t),
             breakpoints=(0.0,),
         )
         pnlee_star = _with_breakpoints(
             clamp_location(pnlee, bounds), (c - s1 * _LN2,)
         )
-        rmle_star = clamp_location(rmle, bounds)
-        return [pnlee, rmle, pnlee_star, rmle_star]
-    pnlee = Estimator(
-        "pnlee", 2, kind,
-        lambda t: np.full_like(np.asarray(t, dtype=float), s2 * _LN2),
-    )
-    rmle = Estimator("rmle", 2, kind, lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-    pnlee_star = _with_breakpoints(
-        clamp_location(pnlee, bounds), (s2 ** 2 * _LN2 / (s1 + s2),)
-    )
-    rmle_star = clamp_location(rmle, bounds)
-    return [pnlee, rmle, pnlee_star, rmle_star]
+    else:
+        pnlee = Estimator("pnlee", 2, kind, _constant(s2 * _LN2))
+        rmle = Estimator("rmle", 2, kind, _constant(0.0))
+        pnlee_star = _with_breakpoints(
+            clamp_location(pnlee, bounds), (s2 ** 2 * _LN2 / (s1 + s2),)
+        )
+    return pnlee, rmle, pnlee_star, clamp_location(rmle, bounds)
 
 
-def _gamma_catalog(model: GammaScale, component: int) -> list[Estimator]:
+def _gamma_catalog(model: GammaScale, component: int) -> tuple[Estimator, ...]:
     kind = ProblemKind.SCALE
     a1, a2 = model.alpha1, model.alpha2
     asum = a1 + a2
@@ -357,30 +351,23 @@ def _gamma_catalog(model: GammaScale, component: int) -> list[Estimator]:
     bounds = default_bounds(model, component)
     if component == 1:
         nu1 = gamma_median(a1)
-        ue = Estimator("ue", 1, kind, lambda t: np.full_like(np.asarray(t, dtype=float), 1.0 / a1))
-        pnsee = Estimator(
-            "pnsee", 1, kind, lambda t: np.full_like(np.asarray(t, dtype=float), 1.0 / nu1)
-        )
+        ue = Estimator("ue", 1, kind, _constant(1.0 / a1))
+        pnsee = Estimator("pnsee", 1, kind, _constant(1.0 / nu1))
         rmle = Estimator(
             "rmle", 1, kind,
-            lambda t: np.minimum(1.0 / a1, (1.0 + np.asarray(t, dtype=float)) / asum),
+            lambda t: np.minimum(1.0 / a1, (1.0 + t) / asum),
             breakpoints=(a2 / a1,),
         )
         rmle_star = _with_breakpoints(clamp_scale(rmle, bounds), (asum / nu - 1.0,))
         pnsee_star = _with_breakpoints(clamp_scale(pnsee, bounds), (nu / nu1 - 1.0,))
         ue_star = _with_breakpoints(clamp_scale(ue, bounds), (nu / a1 - 1.0,))
-        return [ue, pnsee, rmle, rmle_star, pnsee_star, ue_star]
+        return ue, pnsee, rmle, rmle_star, pnsee_star, ue_star
     nu2 = gamma_median(a2)
-    ue = Estimator("ue", 2, kind, lambda t: np.full_like(np.asarray(t, dtype=float), 1.0 / a2))
-    pnsee = Estimator(
-        "pnsee", 2, kind, lambda t: np.full_like(np.asarray(t, dtype=float), 1.0 / nu2)
-    )
+    ue = Estimator("ue", 2, kind, _constant(1.0 / a2))
+    pnsee = Estimator("pnsee", 2, kind, _constant(1.0 / nu2))
     rmle = Estimator(
         "rmle", 2, kind,
-        lambda t: np.maximum(
-            1.0 / a2,
-            (1.0 + np.asarray(t, dtype=float)) / (np.asarray(t, dtype=float) * asum),
-        ),
+        lambda t: np.maximum(1.0 / a2, (1.0 + t) / (t * asum)),
         breakpoints=(a2 / a1,),
     )
     rmle_star = _with_breakpoints(
@@ -391,35 +378,36 @@ def _gamma_catalog(model: GammaScale, component: int) -> list[Estimator]:
         clamp_scale(pnsee, bounds),
         (nu2 / (nu - nu2),) if nu > nu2 else (),
     )
-    return [ue, pnsee, rmle, rmle_star, pnsee_star]
+    return ue, pnsee, rmle, rmle_star, pnsee_star
 
 
-def _power_catalog(model: PowerScale, component: int) -> list[Estimator]:
+def _power_catalog(model: PowerScale, component: int) -> tuple[Estimator, ...]:
     kind = ProblemKind.SCALE
     a1, a2 = model.alpha1, model.alpha2
     asum = model.shape_sum
     bounds = default_bounds(model, component)
     if component == 1:
-        pnsee = Estimator(
-            "pnsee", 1, kind,
-            lambda t: np.full_like(np.asarray(t, dtype=float), 2.0 ** (1.0 / a1)),
-        )
-        pnsee_star = _with_breakpoints(
-            clamp_scale(pnsee, bounds), (1.0, 2.0 ** (a2 / (a1 * asum)))
-        )
-        return [pnsee, pnsee_star]
-    pnsee = Estimator(
-        "pnsee", 2, kind,
-        lambda t: np.full_like(np.asarray(t, dtype=float), 2.0 ** (1.0 / a2)),
-    )
-    pnsee_star = _with_breakpoints(
-        clamp_scale(pnsee, bounds), (1.0, 2.0 ** (-a1 / (a2 * asum)))
-    )
-    return [pnsee, pnsee_star]
+        pnsee = Estimator("pnsee", 1, kind, _constant(2.0 ** (1.0 / a1)))
+        cuts = (1.0, 2.0 ** (a2 / (a1 * asum)))
+    else:
+        pnsee = Estimator("pnsee", 2, kind, _constant(2.0 ** (1.0 / a2)))
+        cuts = (1.0, 2.0 ** (-a1 / (a2 * asum)))
+    return pnsee, _with_breakpoints(clamp_scale(pnsee, bounds), cuts)
 
 
-def catalog(model: ModelSpec, component: int) -> list[Estimator]:
-    """All named estimators for the given model and target component."""
+# Distinct (model, component) catalogs kept by the memo. Models are frozen
+# and hashable, and kernels close over floats and other kernels only, so a
+# cached catalog is as good as a fresh one.
+_CATALOG_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_CATALOG_CACHE_SIZE)
+def catalog(model: ModelSpec, component: int) -> tuple[Estimator, ...]:
+    """All named estimators for the given model and target component.
+
+    Built once per (model, component) and shared afterwards: the one source
+    of catalog names and kernels for estimator_names and resolve_estimator.
+    """
     if component not in (1, 2):
         raise UnsupportedCaseError(f"component must be 1 or 2, got {component}")
     if isinstance(model, BivariateNormal):
@@ -467,7 +455,6 @@ def normal_nu_family(
             raise DomainError(f"nu must lie in [{a}, 0), got {nu}")
 
     def psi(t):
-        t = np.asarray(t, dtype=float)
         tail = -(1.0 - a) * t if hp_tail else np.zeros_like(t)
         return np.where(t <= 0.0, -(1.0 - nu) * t, tail)
 
@@ -481,14 +468,20 @@ def normal_nu_family(
     )
 
 
+def _family_names(model: ModelSpec, component: int) -> tuple[str, ...]:
+    """The improvement-family names that exist for this model/component:
+    psi_nu for the smaller normal mean when alpha != 1, and psi_nu_hp as
+    well when alpha > 1.
+    """
+    if not isinstance(model, BivariateNormal) or component != 1 or model.alpha == 1.0:
+        return ()
+    return ("psi_nu", "psi_nu_hp") if model.alpha > 1.0 else ("psi_nu",)
+
+
 def estimator_names(model: ModelSpec, component: int) -> list[str]:
     """Names accepted by resolve_estimator for this model/component."""
     names = [e.name for e in catalog(model, component)]
-    if isinstance(model, BivariateNormal) and component == 1 and model.alpha != 1.0:
-        names.append("psi_nu")
-        if model.alpha > 1.0:
-            names.append("psi_nu_hp")
-    return names
+    return names + list(_family_names(model, component))
 
 
 def resolve_estimator(
@@ -500,10 +493,8 @@ def resolve_estimator(
     for est in catalog(model, component):
         if est.name == name:
             return est
-    if name in ("psi_nu", "psi_nu_hp"):
-        if not (isinstance(model, BivariateNormal) and component == 1):
-            raise UnknownEstimatorError(name, estimator_names(model, component))
-        if nu is None:
-            raise UnsupportedCaseError(f"estimator {name!r} requires a nu value")
-        return normal_nu_family(model, nu, hp_tail=(name == "psi_nu_hp"))
-    raise UnknownEstimatorError(name, estimator_names(model, component))
+    if name not in _family_names(model, component):
+        raise UnknownEstimatorError(name, estimator_names(model, component))
+    if nu is None:
+        raise UnsupportedCaseError(f"estimator {name!r} requires a nu value")
+    return normal_nu_family(model, nu, hp_tail=(name == "psi_nu_hp"))

@@ -2,9 +2,10 @@
 P[L(cand) < L(ref)] + P[L(cand) = L(ref)] / 2.
 
 Two evaluation routes are provided and kept independent: a seeded, paired
-Monte Carlo engine for arbitrary losses, and a deterministic quadrature
-oracle for absolute-error losses that integrates the closed-form half-line
-event probability against the contrast density.
+Monte Carlo engine, and a deterministic quadrature oracle that integrates the
+closed-form half-line event probability against the contrast density. Both
+serve every loss name: GPN depends on a loss only through its ordering, and
+each squared loss is a strictly increasing transform of its absolute one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedCaseError
+from .errors import DomainError
 from .estimators import Estimator, LossFn
 from .models import ModelSpec, ProblemKind, RestrictedParams
 from .quadrature import adaptive_quadrature
@@ -131,7 +132,8 @@ def _halfline_g(
     psi: np.ndarray,
 ) -> np.ndarray:
     """Conditional probability that the candidate kernel value xi beats the
-    reference value psi under absolute loss, given the contrast equals t.
+    reference value psi, given the contrast equals t. The event is the same
+    for the absolute and the squared loss of either kind.
     """
     equal = xi == psi
     if model.kind is ProblemKind.LOCATION:
@@ -148,16 +150,12 @@ def _halfline_g(
 
 
 def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
-    """Deterministic GPN for absolute-error losses: the half-line event
-    probability integrated against the contrast density by adaptive
-    quadrature, with kernel breakpoints inserted as panel boundaries.
+    """Deterministic GPN: the half-line event probability integrated against
+    the contrast density by adaptive quadrature, with kernel breakpoints
+    inserted as panel boundaries. The value is exact for every loss name,
+    since squared and absolute losses order estimates alike.
     """
     task.validate()
-    if not task.loss.is_absolute:
-        raise UnsupportedCaseError(
-            f"the quadrature oracle supports absolute-error losses only, "
-            f"got {task.loss.name}"
-        )
     if task.candidate == task.reference:
         return 0.5
     model = task.model
@@ -174,8 +172,8 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
         def integrand(s, _seg=seg):
             t = _seg.to_t(s)
             weight = model.d_density(lam, t) * _seg.jacobian(s)
-            xi = np.asarray(task.candidate.psi(t), dtype=float)
-            ps = np.asarray(task.reference.psi(t), dtype=float)
+            xi = task.candidate.psi(t)
+            ps = task.reference.psi(t)
             g = _halfline_g(model, component, lam, t, xi, ps)
             return (g - 0.5) * weight
 

@@ -1,5 +1,5 @@
 """Self-contained special functions: regularized incomplete gamma, gamma
-distribution medians, and the standard normal CDF/quantile.
+distribution medians, and the standard normal CDF.
 
 Everything operates in binary64 and is pure; no external dependencies beyond
 numpy for array evaluation.
@@ -8,19 +8,16 @@ numpy for array evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "Precision",
     "gammaln",
     "regularized_gamma_p",
     "gamma_median",
     "normal_cdf",
-    "normal_quantile",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -41,21 +38,9 @@ _LANCZOS_COEF = (
 )
 
 
-@dataclass(frozen=True)
-class Precision:
-    """Tolerance/iteration budget for the iterative routines."""
-
-    abs_tol: float = 1e-13
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-_DEFAULT_PRECISION = Precision()
+# Iteration budget of the series, the continued fraction and, by default,
+# each stage of the median search.
+_MAX_ITER = 200
 
 
 def gammaln(x: float) -> float:
@@ -129,9 +114,7 @@ def _gamma_q_contfrac(alpha: float, x: np.ndarray, max_iter: int) -> np.ndarray:
     return np.exp(-x + alpha * np.log(x) - lg) * h
 
 
-def regularized_gamma_p(
-    alpha: float, x, precision: Precision = _DEFAULT_PRECISION
-):
+def regularized_gamma_p(alpha: float, x):
     """Regularized lower incomplete gamma P(alpha, x).
 
     Accepts a scalar or ndarray x; series for x < alpha+1, continued
@@ -150,9 +133,9 @@ def regularized_gamma_p(
     lo = (arr < alpha + 1.0) & ~inf
     hi = ~lo & ~inf
     if lo.any():
-        out[lo] = _gamma_p_series(alpha, arr[lo], precision.max_iter)
+        out[lo] = _gamma_p_series(alpha, arr[lo], _MAX_ITER)
     if hi.any():
-        out[hi] = 1.0 - _gamma_q_contfrac(alpha, arr[hi], precision.max_iter)
+        out[hi] = 1.0 - _gamma_q_contfrac(alpha, arr[hi], _MAX_ITER)
     np.clip(out, 0.0, 1.0, out=out)
     return float(out[0]) if scalar else out
 
@@ -163,27 +146,29 @@ def _gamma_pdf(alpha: float, x: float) -> float:
     return math.exp(-x + (alpha - 1.0) * math.log(x) - gammaln(alpha))
 
 
-def gamma_median(alpha: float, precision: Precision = _DEFAULT_PRECISION) -> float:
+def gamma_median(alpha: float, max_iter: int = _MAX_ITER) -> float:
     """Median of the Gamma(alpha, 1) distribution.
 
     Bracketed bisection to width 1e-8 followed by Newton polish; the result
-    satisfies |P(alpha, m) - 1/2| <= 1e-12. The precision's max_iter budgets
-    the root search itself; CDF evaluations run at the default precision.
+    satisfies |P(alpha, m) - 1/2| <= 1e-12. max_iter budgets each stage of
+    the root search itself; CDF evaluations run at the default budget.
     """
     if not alpha > 0.0:
         raise DomainError(f"gamma_median requires alpha > 0, got {alpha}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     lo = max(alpha - 1.0 / 3.0, 1e-300)
     hi = alpha
     # widen in case the Chen-Rubin bracket does not apply (small alpha)
-    for _ in range(precision.max_iter):
+    for _ in range(max_iter):
         if regularized_gamma_p(alpha, lo) < 0.5:
             break
         lo *= 0.5
-    for _ in range(precision.max_iter):
+    for _ in range(max_iter):
         if regularized_gamma_p(alpha, hi) > 0.5:
             break
         hi *= 2.0
-    for _ in range(precision.max_iter):
+    for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if regularized_gamma_p(alpha, mid) < 0.5:
             lo = mid
@@ -193,7 +178,7 @@ def gamma_median(alpha: float, precision: Precision = _DEFAULT_PRECISION) -> flo
             break
     m = 0.5 * (lo + hi)
     residual = regularized_gamma_p(alpha, m) - 0.5
-    for _ in range(precision.max_iter):
+    for _ in range(max_iter):
         if abs(residual) <= 1e-13:
             break
         deriv = _gamma_pdf(alpha, m)
@@ -220,59 +205,3 @@ def normal_cdf(z) -> float:
         (0.5 * math.erfc(-v / _SQRT2) for v in flat), dtype=float, count=flat.size
     )
     return out.reshape(arr.shape)
-
-
-def _normal_pdf(z: float) -> float:
-    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
-# Acklam's rational approximation for the inverse normal CDF.
-_ACKLAM_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-    3.754408661907416e+00,
-)
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse of the standard normal CDF for p in (0, 1).
-
-    Rational approximation refined by one Newton step.
-    """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"normal_quantile requires p in (0, 1), got {p}")
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        z = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        z = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        z = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    # one Newton step against the accurate CDF
-    err = normal_cdf(z) - p
-    pdf = _normal_pdf(z)
-    if pdf > 0.0:
-        z -= err / pdf
-    return z

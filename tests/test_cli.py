@@ -197,6 +197,49 @@ class TestCommandLine:
         assert result.exit_code == 3
         assert "valid names" in result.output
 
+    @pytest.mark.parametrize(
+        "sigmas_rho, name",
+        [((1.0, 1.0, 0.0), "psi_nu_hp"), ((1.0, 2.0, 0.5), "psi_nu")],
+    )
+    def test_absent_family_name_exits_3(self, tmp_path, sigmas_rho, name):
+        # psi_nu_hp needs mixing coefficient > 1; neither family exists at 1
+        s1, s2, rho = sigmas_rho
+        cfg = tmp_path / "family.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "model": {"name": "normal", "sigma1": s1, "sigma2": s2, "rho": rho},
+                    "component": 1,
+                    "pairs": [[name, "pnlee", 0.7]],
+                    "gaps": [0.0],
+                    "loss": "location_abs",
+                    "n_samples": 100,
+                }
+            )
+        )
+        result = CliRunner().invoke(main, ["run", str(cfg)])
+        assert result.exit_code == 3
+        assert "valid names" in result.output
+
+    def test_squared_loss_oracle_runs(self, tmp_path):
+        cfg = tmp_path / "squared.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "model": {"name": "normal", "sigma1": 3.0, "sigma2": 0.5, "rho": -0.9},
+                    "component": 1,
+                    "pairs": [["rmle", "pnlee"]],
+                    "gaps": [0.0, 1.0],
+                    "loss": "location_squared",
+                    "n_samples": 200,
+                    "oracle": True,
+                }
+            )
+        )
+        result = CliRunner().invoke(main, ["run", str(cfg)])
+        assert result.exit_code == 0
+        assert "oracle" in result.output
+
     def test_schema_error_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"model": {"name": "gamma"}, "bogus": 1}))

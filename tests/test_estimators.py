@@ -42,19 +42,28 @@ positives = st.floats(0.01, 50.0, allow_nan=False, allow_infinity=False)
 
 
 def normal_configs(case):
+    """Models in one regime of the mixing coefficient alpha. Cases III
+    (alpha > 1, i.e. rho * sigma2 > sigma1) and IV (alpha < 0, i.e.
+    sigma2 < rho * sigma1) are drawn inside their regime, with a relative
+    margin that keeps the computed alpha off the regime boundary.
+    """
     sigmas = st.floats(0.1, 10.0, allow_nan=False)
     rhos = st.floats(-0.95, 0.95, allow_nan=False)
-
-    def build(draw_tuple):
-        s1, s2, rho = draw_tuple
-        return BivariateNormal(s1, s2, rho)
-
-    strat = st.tuples(sigmas, sigmas, rhos).map(build)
     if case == "I":
+        strat = st.tuples(sigmas, sigmas, rhos).map(lambda p: BivariateNormal(*p))
         return strat.filter(lambda m: 0.0 <= m.alpha < 1.0)
-    if case == "III":
-        return strat.filter(lambda m: m.alpha > 1.0)
-    return strat.filter(lambda m: m.alpha < 0.0)
+
+    @st.composite
+    def ordered(draw):
+        # big is the sigma that, scaled by rho, must exceed the other one
+        rho = draw(st.floats(0.012, 0.95))
+        big = draw(st.floats(0.11 / rho, 10.0))
+        small = draw(st.floats(0.1, rho * big * (1.0 - 1e-6)))
+        if case == "III":
+            return BivariateNormal(small, big, rho)
+        return BivariateNormal(big, small, rho)
+
+    return ordered()
 
 
 class TestLossFn:
@@ -310,6 +319,42 @@ class TestCatalog:
         with pytest.raises(UnknownEstimatorError) as exc:
             resolve_estimator(NORMAL_HALF, 1, "foo")
         assert "pnlee" in str(exc.value) and "rmle" in str(exc.value)
+
+    def test_catalog_built_once(self):
+        g = GammaScale(0.5, 0.2)
+        assert resolve_estimator(g, 2, "rmle") is resolve_estimator(g, 2, "rmle")
+        assert catalog(GammaScale(0.5, 0.2), 2) is catalog(g, 2)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            NORMAL_HALF,
+            BivariateNormal(0.5, 5.0, 0.9),   # alpha > 1
+            BivariateNormal(5.0, 0.5, 0.9),   # alpha < 0
+            BivariateNormal(1.0, 2.0, 0.5),   # alpha == 1
+            ExponentialLocation(2.0, 3.0),
+            GammaScale(0.5, 0.2),
+            PowerScale(2.0, 0.5),
+        ],
+    )
+    @pytest.mark.parametrize("component", [1, 2])
+    def test_names_and_resolver_agree(self, model, component):
+        names = estimator_names(model, component)
+        # nu = alpha is an endpoint of every admissible family range
+        nu = getattr(model, "alpha", None)
+        for name in names:
+            est = resolve_estimator(model, component, name, nu)
+            assert est.name.partition("[")[0] == name
+        for name in ("psi_nu", "psi_nu_hp", "nope"):
+            if name not in names:
+                with pytest.raises(UnknownEstimatorError):
+                    resolve_estimator(model, component, name, nu)
+
+    def test_missing_family_names(self):
+        assert BivariateNormal(1.0, 2.0, 0.5).alpha == 1.0
+        assert "psi_nu" not in estimator_names(BivariateNormal(1.0, 2.0, 0.5), 1)
+        assert "psi_nu_hp" not in estimator_names(NORMAL_HALF, 1)
+        assert "psi_nu_hp" in estimator_names(BivariateNormal(0.5, 5.0, 0.9), 1)
 
     def test_evaluate_forms(self):
         rmle = resolve_estimator(NORMAL_HALF, 1, "rmle")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pitnear.errors import DomainError, UnsupportedCaseError
+from pitnear.errors import DomainError
 from pitnear.estimators import LossFn, resolve_estimator
 from pitnear.gpn import (
     ComparisonTask,
@@ -128,18 +128,23 @@ class TestOracle:
         val = gpn_oracle(task)
         assert abs(val - mc.estimate) <= 3.0 * max(mc.std_error, 1e-4)
 
-    def test_rejects_squared_loss(self):
-        cand = resolve_estimator(ANCHOR_NORMAL, 1, "rmle")
-        ref = resolve_estimator(ANCHOR_NORMAL, 1, "pnlee")
-        task = ComparisonTask(
-            ANCHOR_NORMAL,
-            RestrictedParams(0.0, 0.0),
-            cand,
-            ref,
-            LossFn.from_name("location_squared"),
+    @pytest.mark.parametrize(
+        "model, gap, cand, ref, squared",
+        [
+            (ANCHOR_NORMAL, 1.0, "rmle", "pnlee", "location_squared"),
+            (ExponentialLocation(1.0, 2.0), 0.5, "pnlee_star", "pnlee", "location_squared"),
+            (GammaScale(0.5, 0.2), 2.0, "rmle_star", "rmle", "scale_squared"),
+            (PowerScale(2.0, 0.5), 1.5, "pnsee_star", "pnsee", "scale_squared"),
+        ],
+    )
+    def test_squared_loss_matches_absolute(self, model, gap, cand, ref, squared):
+        # a squared loss orders estimates as its absolute loss does
+        t_abs = task_for(model, gap, cand, ref)
+        t_sq = ComparisonTask(
+            t_abs.model, t_abs.params, t_abs.candidate, t_abs.reference,
+            LossFn.from_name(squared),
         )
-        with pytest.raises(UnsupportedCaseError):
-            gpn_oracle(task)
+        assert gpn_oracle(t_sq) == gpn_oracle(t_abs)
 
     def test_dominance_spot_checks(self):
         for model, cand, ref in [

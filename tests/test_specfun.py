@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from pitnear.errors import ConvergenceError, DomainError
-from pitnear.specfun import (
-    Precision,
-    gamma_median,
-    gammaln,
-    normal_cdf,
-    normal_quantile,
-    regularized_gamma_p,
-)
+from pitnear.specfun import gamma_median, gammaln, normal_cdf, regularized_gamma_p
 
 MEDIAN_ALPHAS = [0.2, 0.5, 0.7, 1.0, 1.2, 2.0, 2.5, 5.0, 7.0, 31.0]
 
@@ -104,8 +97,12 @@ class TestGammaMedian:
 
     def test_reports_residual_on_failure(self):
         with pytest.raises(ConvergenceError) as exc:
-            gamma_median(5.0, Precision(abs_tol=1e-13, max_iter=1))
+            gamma_median(5.0, max_iter=1)
         assert exc.value.achieved is not None
+
+    def test_max_iter_validated(self):
+        with pytest.raises(DomainError):
+            gamma_median(5.0, max_iter=0)
 
 
 class TestNormalCdf:
@@ -132,42 +129,6 @@ class TestNormalCdf:
         out = normal_cdf(z)
         assert out.shape == z.shape
         assert out[0, 0] == 0.5
-
-
-class TestNormalQuantile:
-    def test_median(self):
-        assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
-
-    def test_975(self):
-        assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
-
-    def test_antisymmetry(self):
-        for p in [0.001, 0.12, 0.37, 0.49]:
-            assert abs(normal_quantile(p) + normal_quantile(1.0 - p)) <= 1e-12
-
-    def test_round_trip_grid(self):
-        # 999-point grid across (0.001, 0.999)
-        grid = np.linspace(0.001, 0.999, 999)
-        err = max(abs(normal_cdf(normal_quantile(p)) - p) for p in grid)
-        assert err <= 1e-10
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.7])
-    def test_domain_errors(self, p):
-        with pytest.raises(DomainError):
-            normal_quantile(p)
-
-
-class TestPrecision:
-    def test_defaults(self):
-        prec = Precision()
-        assert prec.abs_tol == 1e-13
-        assert prec.max_iter == 200
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            Precision(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            Precision(max_iter=0)
 
 
 def test_gammaln_against_factorials():
