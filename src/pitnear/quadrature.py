@@ -1,14 +1,19 @@
 """Adaptive one-dimensional quadrature on a Gauss-Kronrod 7-15 rule.
 
 The integrand is called with an ndarray of nodes and must return an ndarray
-of the same shape, which keeps the panel loop cheap for integrands built
-from vectorized model evaluations.
+of the same shape, computed element by element: a node's value may not
+depend on which other nodes share the call. The greedy loop relies on that
+to group panels into few calls while choosing the same panels as a
+one-panel-per-call loop. All initial panels share one call, and bisecting a
+panel whose children are not yet known evaluates both children and their
+four children in one 90-node call; the grandchildren's figures ride on the
+heap with the children, so bisecting a child later calls nothing.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,13 +43,23 @@ _WG = np.array([
 ])
 
 
-def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y = np.asarray(f(mid + half * _XK), dtype=float)
-    k15 = half * float(np.dot(_WK, y))
-    g7 = half * float(np.dot(_WG, y[1::2]))
-    return k15, abs(k15 - g7)
+def _panels(
+    f: Callable[[np.ndarray], np.ndarray], bounds: Sequence[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """(K15 value, |K15 - G7| error) of each panel (a, b), from one integrand
+    call on all their nodes. Each panel's sums read its own 15 values only.
+    """
+    ab = np.array(bounds, dtype=float)
+    half = 0.5 * (ab[:, 1] - ab[:, 0])
+    mid = 0.5 * (ab[:, 0] + ab[:, 1])
+    x = mid[:, None] + half[:, None] * _XK
+    y = np.asarray(f(x.reshape(-1)), dtype=float).reshape(x.shape)
+    out = []
+    for h, row in zip(half.tolist(), y):
+        k15 = h * float(np.dot(_WK, row))
+        g7 = h * float(np.dot(_WG, row[1::2]))
+        out.append((k15, abs(k15 - g7)))
+    return out
 
 
 def adaptive_quadrature(
@@ -66,14 +81,16 @@ def adaptive_quadrature(
     if not b > a:
         raise ConvergenceError(f"empty integration interval [{a}, {b}]")
     cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    heap = []  # max-heap on error via negated key
+    # max-heap on error via negated key; the last field holds the panel's
+    # children as (v_lo, e_lo, v_hi, e_hi) once they are known, else None
+    heap = []
     total = 0.0
     err = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val, e = _panel(f, lo, hi)
+    bounds = list(zip(cuts[:-1], cuts[1:]))
+    for (lo, hi), (val, e) in zip(bounds, _panels(f, bounds)):
         total += val
         err += e
-        heapq.heappush(heap, (-e, lo, hi, val))
+        heapq.heappush(heap, (-e, lo, hi, val, None))
     n_panels = len(heap)
     while err > abs_tol and err > rel_tol * abs(total):
         if n_panels >= max_panels:
@@ -82,19 +99,27 @@ def adaptive_quadrature(
                 f"(requested abs_tol={abs_tol:.3e})",
                 achieved=err,
             )
-        ne, lo, hi, val = heapq.heappop(heap)
+        ne, lo, hi, val, kids = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at float resolution; accept as-is
             err += ne  # ne is negative
             if not heap:
                 break
             continue
-        v1, e1 = _panel(f, lo, mid)
-        v2, e2 = _panel(f, mid, hi)
+        if kids is None:
+            q1 = 0.5 * (lo + mid)
+            q3 = 0.5 * (mid + hi)
+            (v1, e1), (v2, e2), g1, g2, g3, g4 = _panels(
+                f, [(lo, mid), (mid, hi), (lo, q1), (q1, mid), (mid, q3), (q3, hi)]
+            )
+            kids1, kids2 = (*g1, *g2), (*g3, *g4)
+        else:
+            v1, e1, v2, e2 = kids
+            kids1 = kids2 = None
         total += v1 + v2 - val
         err += e1 + e2 + ne
         err = max(err, 0.0)
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
+        heapq.heappush(heap, (-e1, lo, mid, v1, kids1))
+        heapq.heappush(heap, (-e2, mid, hi, v2, kids2))
         n_panels += 1
     return total
