@@ -21,26 +21,30 @@ from .errors import ConvergenceError
 
 __all__ = ["adaptive_quadrature"]
 
-# Kronrod-15 nodes on [-1, 1]; odd-indexed entries are the embedded Gauss-7 nodes.
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
+# QUADPACK qk15 abscissae and weights (Piessens et al. 1983), outermost
+# node first; the Gauss-7 nodes are the odd-indexed entries of _QK15_X.
+_QK15_X = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+)
+_QK15_WK = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_QK15_WG = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+)
+
+# The full rule on [-1, 1] in ascending node order; odd-indexed entries are
+# the embedded Gauss-7 nodes.
+_XK = np.array([-x for x in _QK15_X[:-1]] + [*reversed(_QK15_X)])
+_WK = np.array([*_QK15_WK[:-1], *reversed(_QK15_WK)])
+_WG = np.array([*_QK15_WG[:-1], *reversed(_QK15_WG)])
 
 
 def _panels(
