@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,12 @@ from pitnear.models import (
 
 LOC_ABS = LossFn.from_name("location_abs")
 SCALE_ABS = LossFn.from_name("scale_abs")
+
+# Oracle values of the 832 clamp-dominance cells stored with the benchmark,
+# keyed by a label that ends in "<model> c<component> <cand>/<ref> gap <gap>".
+CERTIFICATION_REFERENCE = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "data" / "oracle_certify.json"
+)
 
 ANCHOR_NORMAL = BivariateNormal(3.0, 0.5, -0.9)
 ANCHOR_GAMMA = GammaScale(30.0, 1.0)
@@ -145,6 +154,40 @@ class TestOracle:
             LossFn.from_name(squared),
         )
         assert gpn_oracle(t_sq) == gpn_oracle(t_abs)
+
+    @pytest.mark.parametrize(
+        "model, component, cand, ref",
+        [
+            # refines as a long chain of bisections toward the s -> 0 endpoint
+            (GammaScale(0.5, 0.2), 1, "rmle_star", "rmle"),
+            (BivariateNormal(80.0, 30.0, 0.0), 1, "rmle", "pnlee"),
+        ],
+    )
+    def test_certification_references_pinned(self, model, component, cand, ref):
+        # a change to the quadrature partition moves these by more than 1e-10
+        stored = json.loads(CERTIFICATION_REFERENCE.read_text())
+        reference = dict(zip(stored["labels"], stored["oracle"]))
+        head = f"{model} c{component} {cand}/{ref} gap "
+        cells = {
+            float(label.rsplit(" ", 1)[1]): value
+            for label, value in reference.items()
+            if head in label
+        }
+        assert len(cells) == (19 if model.kind is ProblemKind.SCALE else 23)
+        for gap, value in cells.items():
+            params = (
+                RestrictedParams(0.0, gap)
+                if model.kind is ProblemKind.LOCATION
+                else RestrictedParams(1.0, gap)
+            )
+            task = ComparisonTask(
+                model,
+                params,
+                resolve_estimator(model, component, cand),
+                resolve_estimator(model, component, ref),
+                LOC_ABS if model.kind is ProblemKind.LOCATION else SCALE_ABS,
+            )
+            assert abs(gpn_oracle(task) - value) <= 1e-10, gap
 
     def test_dominance_spot_checks(self):
         for model, cand, ref in [

@@ -144,6 +144,21 @@ class TestCondCdf:
                     0.5, abs=1e-10
                 )
 
+    @pytest.mark.parametrize("component", [1, 2])
+    def test_gamma_batch_independent(self, component):
+        # one call, two uneven pieces, or one node at a time: identical bits
+        model = GammaScale(0.5, 0.2)
+        lam = 2.0
+        t = np.geomspace(1e-12, 1e6, 40)
+        s = np.geomspace(1e-3, 1e3, 40)[::-1]
+
+        def cdf(i, j):
+            return model.cond_cdf(component, lam, t[i:j], s[i:j])
+
+        whole = cdf(0, 40).tobytes()
+        assert np.concatenate([cdf(0, 13), cdf(13, 40)]).tobytes() == whole
+        assert np.concatenate([cdf(i, i + 1) for i in range(40)]).tobytes() == whole
+
     def test_normal_lower_limit(self):
         assert NORMAL.cond_cdf(1, 0.0, 1.0, -40.0) == pytest.approx(0.0, abs=1e-15)
 

@@ -29,6 +29,15 @@ def trapezoid_gamma_p(alpha, x, n=200001):
     return (head + tail) / math.exp(gammaln(alpha))
 
 
+def assert_batch_independent(fn, x):
+    """fn gives bit-identical elements whether x goes in one call, in two
+    uneven pieces or one element at a time."""
+    whole = fn(x).tobytes()
+    k = len(x) // 3
+    assert np.concatenate([fn(x[:k]), fn(x[k:])]).tobytes() == whole
+    assert np.concatenate([fn(x[i:i + 1]) for i in range(len(x))]).tobytes() == whole
+
+
 class TestRegularizedGammaP:
     def test_exponential_median(self):
         assert regularized_gamma_p(1.0, math.log(2.0)) == pytest.approx(0.5, abs=1e-13)
@@ -60,6 +69,13 @@ class TestRegularizedGammaP:
         p = regularized_gamma_p(2.0, x)
         for xi, pi in zip(x, p):
             assert pi == regularized_gamma_p(2.0, float(xi))
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.7, 3.7])
+    def test_batch_independent(self, alpha):
+        # series (x < alpha + 1) and continued-fraction arguments in one batch
+        x = np.array([0.0, 1e-9, 0.3, alpha + 0.99, alpha + 1.0, 2.5, 7.0,
+                      alpha + 40.0, 1e-4, np.inf, 0.95 * alpha, 120.0])
+        assert_batch_independent(lambda v: regularized_gamma_p(alpha, v), x)
 
     def test_infinite_x_is_one(self):
         assert regularized_gamma_p(3.0, np.inf) == 1.0
@@ -123,6 +139,9 @@ class TestNormalCdf:
     def test_reflection(self):
         for z in np.linspace(-8.0, 8.0, 161):
             assert abs(normal_cdf(z) + normal_cdf(-z) - 1.0) <= 1e-15
+
+    def test_batch_independent(self):
+        assert_batch_independent(normal_cdf, np.linspace(-40.0, 12.0, 53))
 
     def test_array_shape(self):
         z = np.array([[0.0, 1.0], [-1.0, 2.0]])
