@@ -115,11 +115,12 @@ def gpn_monte_carlo(task: ComparisonTask) -> GpnResult:
     theta = task.params.component(task.candidate.target)
     loss_cand = task.loss.evaluate(task.candidate.evaluate(x1, x2), theta)
     loss_ref = task.loss.evaluate(task.reference.evaluate(x1, x2), theta)
-    scale = np.maximum(1.0, np.maximum(loss_cand, loss_ref))
+    tol = np.maximum(loss_cand, loss_ref)
+    np.maximum(tol, 1.0, out=tol)
+    tol *= TIE_EPS
     diff = loss_cand - loss_ref
-    tol = TIE_EPS * scale
-    ties = int(np.count_nonzero(np.abs(diff) <= tol))
     wins = int(np.count_nonzero(diff < -tol))
+    ties = int(np.count_nonzero(np.abs(diff, out=diff) <= tol))
     return GpnResult.from_counts(wins, ties, task.n_samples, task.seed)
 
 
