@@ -352,37 +352,6 @@ class ExponentialLocation(_ModelBase):
 # ---------------------------------------------------------------------------
 
 
-def _gamma_marsaglia_tsang(
-    rng: np.random.Generator, shape: float, size
-) -> np.ndarray:
-    """Gamma(shape, 1) variates; for shape < 1 draws at shape + 1 and applies
-    the U^(1/shape) boost.
-    """
-    n = 1 if size is None else int(size)
-    if shape < 1.0:
-        g = _gamma_marsaglia_tsang(rng, shape + 1.0, n)
-        u = rng.random(n)
-        out = g * u ** (1.0 / shape)
-        return out
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n)
-    pending = np.arange(n)
-    while pending.size:
-        k = pending.size
-        x = rng.standard_normal(k)
-        u = rng.random(k)
-        v = (1.0 + c * x) ** 3
-        pos = v > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            accept = pos & (
-                np.log(u) < 0.5 * x * x + d * (1.0 - v + np.log(np.where(pos, v, 1.0)))
-            )
-        out[pending[accept]] = d * v[accept]
-        pending = pending[~accept]
-    return out
-
-
 @dataclass(frozen=True)
 class GammaScale(_ModelBase):
     """Independent gammas with known shapes; the two scales are the
@@ -412,10 +381,8 @@ class GammaScale(_ModelBase):
 
     def sample(self, params: RestrictedParams, rng: np.random.Generator, size=None):
         self.check_params(params)
-        z1 = _gamma_marsaglia_tsang(rng, self.alpha1, size)
-        z2 = _gamma_marsaglia_tsang(rng, self.alpha2, size)
-        if size is None:
-            z1, z2 = float(z1[0]), float(z2[0])
+        z1 = rng.standard_gamma(self.alpha1, size)
+        z2 = rng.standard_gamma(self.alpha2, size)
         return Observation(params.theta1 * z1, params.theta2 * z2)
 
     def cond_median(self, component: int, lam: float, t):
