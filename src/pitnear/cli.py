@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -243,6 +244,24 @@ _CONFIG_FIELDS = {
 }
 
 
+def _is_int(value) -> bool:
+    # bool subclasses int, but true/false is never a count, seed or index
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_number(value, what: str) -> float:
+    """A JSON number as a finite float; strings, bools, NaN, infinities and
+    integers beyond binary64 are config errors.
+    """
+    if _is_int(value) or isinstance(value, float):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
 def _parse_pairs(raw) -> list[tuple[str, str, Optional[float]]]:
     if not isinstance(raw, list) or not all(isinstance(p, list) for p in raw):
         raise ConfigError("field 'pairs' must be a list of [candidate, reference] lists")
@@ -253,7 +272,7 @@ def _parse_pairs(raw) -> list[tuple[str, str, Optional[float]]]:
             nu = None
         elif len(p) == 3:
             cand, ref, nu = p
-            nu = float(nu)
+            nu = _finite_number(nu, "pair nu")
         else:
             raise ConfigError(
                 "each pair must be [candidate, reference] or [candidate, reference, nu]"
@@ -279,23 +298,29 @@ def _validate_config(cfg: dict) -> dict:
             if field not in cfg:
                 raise ConfigError(f"custom sweep config missing field '{field}'")
     out = {
-        "n_samples": int(cfg.get("n_samples", 10000)),
-        "seed": int(cfg.get("seed", 42)),
-        "oracle": bool(cfg.get("oracle", False)),
+        "n_samples": cfg.get("n_samples", 10000),
+        "seed": cfg.get("seed", 42),
+        "oracle": cfg.get("oracle", False),
         "output": cfg.get("output", "md"),
     }
     if out["output"] not in ("csv", "md"):
         raise ConfigError(f"field 'output' must be 'csv' or 'md', got {out['output']!r}")
-    if out["n_samples"] < 1:
-        raise ConfigError("field 'n_samples' must be a positive integer")
+    if not _is_int(out["n_samples"]) or out["n_samples"] < 1:
+        raise ConfigError(
+            f"field 'n_samples' must be a positive integer, got {out['n_samples']!r}"
+        )
+    if not _is_int(out["seed"]):
+        raise ConfigError(f"field 'seed' must be an integer, got {out['seed']!r}")
+    if not isinstance(out["oracle"], bool):
+        raise ConfigError(f"field 'oracle' must be true or false, got {out['oracle']!r}")
     if has_table:
         table = cfg["table"]
-        if not isinstance(table, int) or table not in TABLES:
+        if not _is_int(table) or table not in TABLES:
             raise ConfigError(f"field 'table' must be an integer 1..6, got {table!r}")
         out["table"] = table
         return out
     component = cfg["component"]
-    if component not in (1, 2):
+    if not _is_int(component) or component not in (1, 2):
         raise ConfigError(f"field 'component' must be 1 or 2, got {component!r}")
     gaps = cfg["gaps"]
     if not isinstance(gaps, list) or not gaps:
@@ -304,7 +329,7 @@ def _validate_config(cfg: dict) -> dict:
         model=cfg["model"],
         component=component,
         pairs=_parse_pairs(cfg["pairs"]),
-        gaps=[float(g) for g in gaps],
+        gaps=[_finite_number(g, "each gap") for g in gaps],
         loss=cfg["loss"],
     )
     return out

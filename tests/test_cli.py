@@ -266,3 +266,45 @@ class TestCommandLine:
         assert result.exit_code == 0
         header, rows = parse_csv(result.output)
         assert len(rows) == 2 and int(rows[0]["n"]) == 512
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"oracle": "false"},
+            {"component": True},
+            {"gaps": [1.0, "2"]},
+            {"seed": "7"},
+            {"n_samples": "512"},
+            {"n_samples": True},
+            {"pairs": [["rmle_star", "rmle", "0.7"]]},
+            {"gaps": [float("nan")]},
+            {"gaps": [1.0, float("inf")]},
+        ],
+        ids=[
+            "oracle_string", "component_bool", "gap_string", "seed_string",
+            "n_samples_string", "n_samples_bool", "nu_string", "gap_nan", "gap_infinity",
+        ],
+    )
+    def test_config_type_error_exits_2(self, tmp_path, overrides):
+        cfg = {
+            "model": {"name": "gamma", "alpha1": 1.0, "alpha2": 1.0},
+            "component": 2,
+            "pairs": [["rmle_star", "rmle"]],
+            "gaps": [1.0, 2.0],
+            "loss": "scale_abs",
+            "n_samples": 100,
+        }
+        cfg.update(overrides)
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(cfg))  # NaN and Infinity are written as JSON literals
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ")
+
+    def test_table_id_bool_exits_2(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"table": True, "n_samples": 100}))
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 2
+        assert "table" in result.output

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pitnear.cli import TABLES
 from pitnear.errors import ConfigError, DomainError
 from pitnear.models import (
     BivariateNormal,
@@ -15,7 +16,7 @@ from pitnear.models import (
     model_from_config,
 )
 from pitnear.quadrature import adaptive_quadrature
-from pitnear.specfun import gamma_median
+from pitnear.specfun import gamma_median, regularized_gamma_p
 
 LN2 = math.log(2.0)
 
@@ -293,6 +294,35 @@ class TestSampling:
         )
         assert np.array_equal(moved.x1, base.x1 * factor)
         assert np.array_equal(moved.x2, base.x2 * factor)
+
+    @pytest.mark.parametrize("shapes", TABLES[4].configs)
+    def test_gamma_draws_are_numpy_standard_gamma(self, shapes):
+        # the contract, not a stream hash: component 1 then component 2,
+        # each scaled, from the caller's generator
+        a1, a2 = shapes
+        params = RestrictedParams(1.5, 4.0)
+        x1, x2 = GammaScale(a1, a2).sample(params, np.random.default_rng(21), 1000)
+        rng = np.random.default_rng(21)
+        assert np.array_equal(x1, 1.5 * rng.standard_gamma(a1, 1000))
+        assert np.array_equal(x2, 4.0 * rng.standard_gamma(a2, 1000))
+        obs = GammaScale(a1, a2).sample(params, np.random.default_rng(22))
+        rng = np.random.default_rng(22)
+        assert type(obs.x1) is float and type(obs.x2) is float
+        assert obs == (1.5 * rng.standard_gamma(a1), 4.0 * rng.standard_gamma(a2))
+
+    @pytest.mark.parametrize("shapes", TABLES[4].configs)
+    def test_gamma_components_pass_ks(self, shapes):
+        # Kolmogorov-Smirnov distance to the exact CDF; 1.95/sqrt(n) is the
+        # 0.1% critical value
+        n = 20000
+        x1, x2 = GammaScale(*shapes).sample(
+            RestrictedParams(1.0, 1.0), np.random.default_rng(23), n
+        )
+        upper = np.arange(1, n + 1) / n
+        for shape, x in zip(shapes, (x1, x2)):
+            cdf = regularized_gamma_p(shape, np.sort(x))
+            ks = max(np.max(upper - cdf), np.max(cdf - (upper - 1.0 / n)))
+            assert ks < 1.95 / math.sqrt(n)
 
     def test_scale_params_must_be_positive(self):
         with pytest.raises(DomainError):
