@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -9,6 +10,7 @@ from pitnear.cli import TABLES, main, run_config_dict, run_table
 from pitnear.errors import ConfigError, UnknownEstimatorError
 
 SMALL_N = 2000
+DATA = Path(__file__).parent / "data"
 
 
 def parse_csv(text):
@@ -308,3 +310,27 @@ class TestCommandLine:
         result = CliRunner().invoke(main, ["run", str(path)])
         assert result.exit_code == 2
         assert "table" in result.output
+
+
+# Stdout bytes written by the CLI of an earlier commit. Regenerate a file
+# (`pitnear <args> > tests/data/<file>`) only in a change that means to alter
+# the random stream or the layout, and say why in that change.
+GOLDEN = [
+    *(
+        (["table", str(t), "--samples", "2000", "--seed", "3", "--out", "csv"],
+         f"table{t}_n2000_seed3.csv")
+        for t in range(1, 7)
+    ),
+    *(
+        (["table", str(t), "--samples", "2000", "--oracle"], f"table{t}_n2000_oracle.md")
+        for t in range(1, 7)
+    ),
+    (["run", str(DATA / "run_gamma_oracle.json")], "run_gamma_oracle.md"),
+]
+
+
+@pytest.mark.parametrize("args, golden", GOLDEN, ids=[g for _, g in GOLDEN])
+def test_stdout_matches_golden(args, golden):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (DATA / golden).read_bytes()
