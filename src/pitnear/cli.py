@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -19,49 +18,48 @@ from typing import Optional, Sequence
 
 import click
 
-from .errors import ConfigError, PitnearError, UnknownEstimatorError
+from .errors import ConfigError, PitnearError, UnknownEstimatorError, UnsupportedCaseError
 from .estimators import LossFn, resolve_estimator
 from .gpn import SweepCell, derive_cell_seed, gpn_sweep
-from .models import model_from_config
+from .models import BivariateNormal, GammaScale, ProblemKind, finite_number, model_from_config
 
 __all__ = ["main", "run_table", "run_config_file", "TABLES", "TableSpec"]
 
 
 @dataclass(frozen=True)
 class TableSpec:
-    """One built-in simulation table: a fixed pair swept over a gap grid for
-    six model configurations.
+    """One built-in simulation table: a fixed pair swept over the gap grid of
+    the model's kind for six model configurations.
     """
 
-    number: int
     title: str
-    model_name: str
-    config_fields: tuple[str, ...]
+    model_cls: type
     configs: tuple[tuple[float, ...], ...]
     component: int
     candidate: str
     reference: str
-    gaps: tuple[float, ...]
-    loss: str
 
-    def model(self, config: tuple[float, ...]):
-        spec = {"name": self.model_name}
-        spec.update(dict(zip(self.config_fields, config)))
-        return model_from_config(spec)
+    @property
+    def gaps(self) -> tuple[float, ...]:
+        if self.model_cls.kind is ProblemKind.LOCATION:
+            return _LOCATION_GAPS
+        return _SCALE_GAPS
+
+    @property
+    def loss(self) -> str:
+        if self.model_cls.kind is ProblemKind.LOCATION:
+            return "location_abs"
+        return "scale_abs"
 
 
 _LOCATION_GAPS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 _SCALE_GAPS = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
-_NORMAL_FIELDS = ("sigma1", "sigma2", "rho")
-_GAMMA_FIELDS = ("alpha1", "alpha2")
 _GAMMA_CONFIGS = ((0.5, 0.2), (0.2, 0.8), (1.0, 1.0), (5.0, 2.0), (1.0, 30.0), (30.0, 1.0))
 
 TABLES: dict[int, TableSpec] = {
     1: TableSpec(
-        number=1,
         title="restricted MLE vs unrestricted Pitman-nearest estimator, smaller mean",
-        model_name="normal",
-        config_fields=_NORMAL_FIELDS,
+        model_cls=BivariateNormal,
         configs=(
             (3.0, 0.5, -0.9), (0.5, 5.0, -0.5), (1.0, 1.0, 0.0),
             (15.0, 2.0, 0.2), (1.0, 30.0, 0.5), (30.0, 1.0, 0.9),
@@ -69,14 +67,10 @@ TABLES: dict[int, TableSpec] = {
         component=1,
         candidate="rmle",
         reference="pnlee",
-        gaps=_LOCATION_GAPS,
-        loss="location_abs",
     ),
     2: TableSpec(
-        number=2,
         title="clamped vs plain order-respecting blend estimator, smaller mean",
-        model_name="normal",
-        config_fields=_NORMAL_FIELDS,
+        model_cls=BivariateNormal,
         configs=(
             (0.1, 5.0, 0.2), (1.0, 25.0, 0.2), (0.5, 2.0, 0.5),
             (5.0, 15.0, 0.5), (0.5, 5.0, 0.9), (2.0, 15.0, 0.9),
@@ -84,14 +78,10 @@ TABLES: dict[int, TableSpec] = {
         component=1,
         candidate="hp_star",
         reference="hp",
-        gaps=_LOCATION_GAPS,
-        loss="location_abs",
     ),
     3: TableSpec(
-        number=3,
         title="restricted MLE vs clipped-weight blend estimator, smaller mean",
-        model_name="normal",
-        config_fields=_NORMAL_FIELDS,
+        model_cls=BivariateNormal,
         configs=(
             (5.0, 0.1, 0.2), (25.0, 1.0, 0.2), (2.0, 0.5, 0.5),
             (15.0, 5.0, 0.5), (5.0, 0.5, 0.9), (15.0, 2.0, 0.9),
@@ -99,44 +89,30 @@ TABLES: dict[int, TableSpec] = {
         component=1,
         candidate="rmle",
         reference="pdt",
-        gaps=_LOCATION_GAPS,
-        loss="location_abs",
     ),
     4: TableSpec(
-        number=4,
         title="clamped vs plain restricted MLE, larger gamma scale",
-        model_name="gamma",
-        config_fields=_GAMMA_FIELDS,
+        model_cls=GammaScale,
         configs=_GAMMA_CONFIGS,
         component=2,
         candidate="rmle_star",
         reference="rmle",
-        gaps=_SCALE_GAPS,
-        loss="scale_abs",
     ),
     5: TableSpec(
-        number=5,
         title="clamped vs plain Pitman-nearest estimator, larger gamma scale",
-        model_name="gamma",
-        config_fields=_GAMMA_FIELDS,
+        model_cls=GammaScale,
         configs=_GAMMA_CONFIGS,
         component=2,
         candidate="pnsee_star",
         reference="pnsee",
-        gaps=_SCALE_GAPS,
-        loss="scale_abs",
     ),
     6: TableSpec(
-        number=6,
         title="restricted MLE vs unbiased estimator, larger gamma scale",
-        model_name="gamma",
-        config_fields=_GAMMA_FIELDS,
+        model_cls=GammaScale,
         configs=_GAMMA_CONFIGS,
         component=2,
         candidate="rmle",
         reference="ue",
-        gaps=_SCALE_GAPS,
-        loss="scale_abs",
     ),
 }
 
@@ -183,59 +159,13 @@ def run_table(
     oracle: bool = False,
     out: str = "md",
 ) -> str:
-    """Reproduce one built-in table; returns the rendered text."""
-    if table_id not in TABLES:
-        raise ConfigError(f"invalid table id {table_id}; expected 1..6")
-    if out not in ("csv", "md"):
-        raise ConfigError(f"invalid output format {out!r}; expected csv or md")
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be a positive integer, got {n_samples}")
-    spec = TABLES[table_id]
-    loss = LossFn.from_name(spec.loss)
-    columns: list[tuple[str, list[SweepCell]]] = []
-    for col, config in enumerate(spec.configs):
-        model = spec.model(config)
-        pair = (
-            resolve_estimator(model, spec.component, spec.candidate),
-            resolve_estimator(model, spec.component, spec.reference),
-        )
-        cells = gpn_sweep(
-            model,
-            [pair],
-            spec.gaps,
-            loss,
-            n_samples=n_samples,
-            base_seed=derive_cell_seed(seed, spec.number, col),
-            oracle=oracle,
-        )
-        columns.append((_config_label(config), cells))
-
-    if out == "csv":
-        rows = [
-            (f"{spec.candidate}/{spec.reference}@{label}", cell)
-            for label, cells in columns
-            for cell in cells
-        ]
-        return _csv_text(rows, oracle)
-
-    title = (
-        f"# table {spec.number}: {spec.candidate} vs {spec.reference} "
-        f"({spec.title}); loss={spec.loss}, n={n_samples}, seed={seed}"
+    """Reproduce one built-in table; returns the rendered text. The same as
+    running the config {"table": table_id} with these settings.
+    """
+    return run_config_dict(
+        {"table": table_id, "n_samples": n_samples, "seed": seed,
+         "oracle": oracle, "output": out}
     )
-    header = ["gap"]
-    for label, _ in columns:
-        header.append(label)
-        if oracle:
-            header.append(label + " oracle")
-    body = []
-    for i, gap in enumerate(spec.gaps):
-        row = [f"{gap:g}"]
-        for _, cells in columns:
-            row.append(f"{cells[i].result.estimate:.3f}")
-            if oracle:
-                row.append(f"{cells[i].oracle:.3f}")
-        body.append(row)
-    return "\n".join([title, ""] + _md_table(header, body)) + "\n"
 
 
 _CONFIG_FIELDS = {
@@ -249,19 +179,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _finite_number(value, what: str) -> float:
-    """A JSON number as a finite float; strings, bools, NaN, infinities and
-    integers beyond binary64 are config errors.
-    """
-    if _is_int(value) or isinstance(value, float):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:
-            pass
-    raise ConfigError(f"{what} must be a finite number, got {value!r}")
-
-
 def _parse_pairs(raw) -> list[tuple[str, str, Optional[float]]]:
     if not isinstance(raw, list) or not all(isinstance(p, list) for p in raw):
         raise ConfigError("field 'pairs' must be a list of [candidate, reference] lists")
@@ -272,7 +189,7 @@ def _parse_pairs(raw) -> list[tuple[str, str, Optional[float]]]:
             nu = None
         elif len(p) == 3:
             cand, ref, nu = p
-            nu = _finite_number(nu, "pair nu")
+            nu = finite_number(nu, "pair nu")
         else:
             raise ConfigError(
                 "each pair must be [candidate, reference] or [candidate, reference, nu]"
@@ -284,6 +201,9 @@ def _parse_pairs(raw) -> list[tuple[str, str, Optional[float]]]:
 
 
 def _validate_config(cfg: dict) -> dict:
+    """Check a config against the schema. Returns it with defaults filled in
+    and, for a custom sweep, with the model and loss built.
+    """
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = sorted(set(cfg) - _CONFIG_FIELDS)
@@ -325,14 +245,93 @@ def _validate_config(cfg: dict) -> dict:
     gaps = cfg["gaps"]
     if not isinstance(gaps, list) or not gaps:
         raise ConfigError("field 'gaps' must be a non-empty list of numbers")
-    out.update(
-        model=cfg["model"],
-        component=component,
-        pairs=_parse_pairs(cfg["pairs"]),
-        gaps=[_finite_number(g, "each gap") for g in gaps],
-        loss=cfg["loss"],
-    )
+    gaps = [finite_number(g, "each gap") for g in gaps]
+    pairs = _parse_pairs(cfg["pairs"])
+    model = model_from_config(cfg["model"])
+    if model.kind is ProblemKind.LOCATION:
+        if any(g < 0.0 for g in gaps):
+            raise ConfigError("location gaps must be >= 0")
+    elif any(g < 1.0 for g in gaps):
+        raise ConfigError("scale gaps must be >= 1")
+    try:
+        loss = LossFn.from_name(cfg["loss"])
+    except UnsupportedCaseError as e:
+        raise ConfigError(str(e)) from None
+    if loss.problem_kind is not model.kind:
+        raise ConfigError(
+            f"loss {loss.name!r} does not fit the {model.kind.value} model "
+            f"{type(model).__name__}"
+        )
+    out.update(model=model, component=component, pairs=pairs, gaps=gaps, loss=loss)
     return out
+
+
+def _sweep(cfg: dict) -> list[SweepCell]:
+    """Resolve the named pairs of a validated sweep config and run them over
+    its gaps.
+    """
+    model, component = cfg["model"], cfg["component"]
+    pairs = [
+        (
+            resolve_estimator(model, component, cand, nu),
+            resolve_estimator(model, component, ref, nu),
+        )
+        for cand, ref, nu in cfg["pairs"]
+    ]
+    return gpn_sweep(
+        model,
+        pairs,
+        cfg["gaps"],
+        cfg["loss"],
+        n_samples=cfg["n_samples"],
+        base_seed=cfg["seed"],
+        oracle=cfg["oracle"],
+    )
+
+
+def _render_table(cfg: dict) -> str:
+    # Each column is a one-pair sweep on its own derived base seed.
+    table_id, oracle = cfg["table"], cfg["oracle"]
+    spec = TABLES[table_id]
+    columns: list[tuple[str, list[SweepCell]]] = []
+    for col, config in enumerate(spec.configs):
+        column = dict(
+            cfg,
+            model=spec.model_cls(*config),
+            component=spec.component,
+            pairs=[(spec.candidate, spec.reference, None)],
+            gaps=spec.gaps,
+            loss=LossFn.from_name(spec.loss),
+            seed=derive_cell_seed(cfg["seed"], table_id, col),
+        )
+        columns.append((_config_label(config), _sweep(column)))
+
+    if cfg["output"] == "csv":
+        rows = [
+            (f"{spec.candidate}/{spec.reference}@{label}", cell)
+            for label, cells in columns
+            for cell in cells
+        ]
+        return _csv_text(rows, oracle)
+
+    title = (
+        f"# table {table_id}: {spec.candidate} vs {spec.reference} "
+        f"({spec.title}); loss={spec.loss}, n={cfg['n_samples']}, seed={cfg['seed']}"
+    )
+    header = ["gap"]
+    for label, _ in columns:
+        header.append(label)
+        if oracle:
+            header.append(label + " oracle")
+    body = []
+    for i, gap in enumerate(spec.gaps):
+        row = [f"{gap:g}"]
+        for _, cells in columns:
+            row.append(f"{cells[i].result.estimate:.3f}")
+            if oracle:
+                row.append(f"{cells[i].oracle:.3f}")
+        body.append(row)
+    return "\n".join([title, ""] + _md_table(header, body)) + "\n"
 
 
 def _model_label(model) -> str:
@@ -341,68 +340,43 @@ def _model_label(model) -> str:
     return f"{type(model).__name__}({inner})"
 
 
-def run_config_dict(cfg: dict) -> str:
-    """Execute a validated config mapping; returns the rendered text."""
-    cfg = _validate_config(cfg)
-    if "table" in cfg:
-        return run_table(
-            cfg["table"],
-            n_samples=cfg["n_samples"],
-            seed=cfg["seed"],
-            oracle=cfg["oracle"],
-            out=cfg["output"],
-        )
-    model = model_from_config(cfg["model"])
-    if model.kind.value == "location":
-        if any(g < 0.0 for g in cfg["gaps"]):
-            raise ConfigError("location gaps must be >= 0")
-    elif any(g < 1.0 for g in cfg["gaps"]):
-        raise ConfigError("scale gaps must be >= 1")
-    loss = LossFn.from_name(cfg["loss"])
-    pairs = [
-        (
-            resolve_estimator(model, cfg["component"], cand, nu),
-            resolve_estimator(model, cfg["component"], ref, nu),
-        )
-        for cand, ref, nu in cfg["pairs"]
-    ]
-    cells = gpn_sweep(
-        model,
-        pairs,
-        cfg["gaps"],
-        loss,
-        n_samples=cfg["n_samples"],
-        base_seed=cfg["seed"],
-        oracle=cfg["oracle"],
-    )
-    per_pair: dict[int, list[SweepCell]] = {}
-    for cell in cells:
-        per_pair.setdefault(cell.pair_index, []).append(cell)
-
+def _render_sweep(cfg: dict) -> str:
+    cells = _sweep(cfg)
     if cfg["output"] == "csv":
         rows = [(f"{c.candidate_name}/{c.reference_name}", c) for c in cells]
         return _csv_text(rows, cfg["oracle"])
 
+    # gpn_sweep returns the cells pair by pair, each pair over all gaps
+    n_gaps = len(cfg["gaps"])
+    columns = [cells[i:i + n_gaps] for i in range(0, len(cells), n_gaps)]
     title = (
-        f"# {_model_label(model)}, component={cfg['component']}, "
-        f"loss={cfg['loss']}, n={cfg['n_samples']}, seed={cfg['seed']}"
+        f"# {_model_label(cfg['model'])}, component={cfg['component']}, "
+        f"loss={cfg['loss'].name}, n={cfg['n_samples']}, seed={cfg['seed']}"
     )
     header = ["gap"]
-    for idx in sorted(per_pair):
-        label = f"{per_pair[idx][0].candidate_name}/{per_pair[idx][0].reference_name}"
+    for column in columns:
+        label = f"{column[0].candidate_name}/{column[0].reference_name}"
         header += [label, "se"]
         if cfg["oracle"]:
             header.append(label + " oracle")
     body = []
     for i, gap in enumerate(cfg["gaps"]):
         row = [f"{gap:g}"]
-        for idx in sorted(per_pair):
-            cell = per_pair[idx][i]
+        for column in columns:
+            cell = column[i]
             row += [f"{cell.result.estimate:.3f}", f"{cell.result.std_error:.4f}"]
             if cfg["oracle"]:
                 row.append(f"{cell.oracle:.3f}")
         body.append(row)
     return "\n".join([title, ""] + _md_table(header, body)) + "\n"
+
+
+def run_config_dict(cfg: dict) -> str:
+    """Validate and execute a config mapping; returns the rendered text."""
+    cfg = _validate_config(cfg)
+    if "table" in cfg:
+        return _render_table(cfg)
+    return _render_sweep(cfg)
 
 
 def _load_config(path: str | Path) -> dict:
@@ -425,14 +399,7 @@ def run_config_file(path: str | Path) -> str:
     return run_config_dict(_load_config(path))
 
 
-def _emit(text: str, output_file: Optional[str]) -> None:
-    if output_file:
-        Path(output_file).write_text(text, encoding="utf-8")
-    else:
-        click.echo(text, nl=False)
-
-
-def _exit_code(exc: PitnearError) -> int:
+def _exit_code(exc: Exception) -> int:
     if isinstance(exc, UnknownEstimatorError):
         return 3
     if isinstance(exc, ConfigError):
@@ -458,37 +425,12 @@ def _apply_options(fn):
     return fn
 
 
-@click.group()
-def main():
-    """Compare estimators of order-restricted parameters by Pitman nearness."""
-
-
-@main.command("table")
-@click.argument("table_id", type=int)
-@_apply_options
-def table_command(table_id, samples, seed, oracle, out, output_file):
-    """Reproduce built-in simulation table TABLE_ID (1-6)."""
+def _run(load_config, samples, seed, oracle, out, output_file) -> None:
+    """The body of both commands: load the config, let the options override
+    its fields, run it and write the text.
+    """
     try:
-        text = run_table(
-            table_id,
-            n_samples=samples if samples is not None else 10000,
-            seed=seed if seed is not None else 42,
-            oracle=oracle,
-            out=out if out is not None else "md",
-        )
-    except PitnearError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(_exit_code(e))
-    _emit(text, output_file)
-
-
-@main.command("run")
-@click.argument("config", type=click.Path(exists=True, dir_okay=False))
-@_apply_options
-def run_command(config, samples, seed, oracle, out, output_file):
-    """Run the comparison sweep described by a JSON CONFIG file."""
-    try:
-        cfg = _load_config(config)
+        cfg = load_config()
         if samples is not None:
             cfg["n_samples"] = samples
         if seed is not None:
@@ -498,10 +440,38 @@ def run_command(config, samples, seed, oracle, out, output_file):
         if out is not None:
             cfg["output"] = out
         text = run_config_dict(cfg)
-    except PitnearError as e:
+    except (PitnearError, ArithmeticError) as e:
+        # an overflow in float arithmetic, as from extreme model fields, is
+        # a numerical failure like the package's own
         click.echo(f"error: {e}", err=True)
         sys.exit(_exit_code(e))
-    _emit(text, output_file)
+    if output_file:
+        Path(output_file).write_text(text, encoding="utf-8")
+    else:
+        click.echo(text, nl=False)
+
+
+@click.group()
+def main():
+    """Compare estimators of order-restricted parameters by Pitman nearness."""
+
+
+@main.command("table")
+@click.argument("table_id", type=int)
+@_apply_options
+def table_command(table_id, **options):
+    """Reproduce built-in simulation table TABLE_ID (1-6), i.e. run the
+    config {"table": TABLE_ID}.
+    """
+    _run(lambda: {"table": table_id}, **options)
+
+
+@main.command("run")
+@click.argument("config", type=click.Path(exists=True, dir_okay=False))
+@_apply_options
+def run_command(config, **options):
+    """Run the comparison sweep described by a JSON CONFIG file."""
+    _run(lambda: _load_config(config), **options)
 
 
 if __name__ == "__main__":

@@ -237,7 +237,6 @@ def gpn_sweep(
     n_samples: int = 10000,
     base_seed: int = 42,
     oracle: bool = False,
-    oracle_abs_tol: float = 1e-8,
 ) -> list[SweepCell]:
     """Monte Carlo GPN for every (pair, gap) cell, each on its own derived
     seed; rows come back in the given (pair, gap) order.
@@ -262,7 +261,7 @@ def gpn_sweep(
                     reference_name=reference.name,
                     gap=float(gap),
                     result=gpn_monte_carlo(task),
-                    oracle=gpn_oracle(task, oracle_abs_tol) if oracle else None,
+                    oracle=gpn_oracle(task) if oracle else None,
                 )
             )
     return cells

@@ -11,9 +11,9 @@ Generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -121,13 +121,39 @@ def _ratio_segments(lam: float) -> list[QuadSegment]:
     ]
 
 
-def _check_component(component: int) -> None:
-    if component not in (1, 2):
-        raise DomainError(f"component must be 1 or 2, got {component}")
+def _float_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def _as_float_or_array(x, scalar: bool):
-    return float(x) if scalar else x
+def _conditional(method):
+    """Argument handling shared by cond_median(component, lam, t) and
+    cond_cdf(component, lam, t, s): checks the component, gap and contrast,
+    passes t (and s) on as float64 arrays, and returns a 0-d result as a
+    float.
+    """
+
+    @wraps(method)
+    def wrapper(self, component, lam, t, *s):
+        if component not in (1, 2):
+            raise DomainError(f"component must be 1 or 2, got {component}")
+        self._check_lambda(lam)
+        self._check_t(t)
+        arrays = (np.asarray(x, dtype=float) for x in (t, *s))
+        return _float_or_array(method(self, component, lam, *arrays))
+
+    return wrapper
+
+
+def _density(method):
+    """Argument handling of d_density(lam, t), as for _conditional."""
+
+    @wraps(method)
+    def wrapper(self, lam, t):
+        self._check_lambda(lam)
+        self._check_t(t)
+        return _float_or_array(method(self, lam, np.asarray(t, dtype=float)))
+
+    return wrapper
 
 
 class _ModelBase:
@@ -215,28 +241,22 @@ class BivariateNormal(_ModelBase):
         )
         return Observation(x1, x2)
 
+    @_conditional
     def cond_median(self, component: int, lam: float, t):
-        _check_component(component)
-        self._check_lambda(lam)
-        t = np.asarray(t, dtype=float)
         if component == 1:
-            m = (1.0 - self.alpha) * (lam - t)
-        else:
-            m = self.alpha * (t - lam)
-        return _as_float_or_array(m, t.ndim == 0)
+            return (1.0 - self.alpha) * (lam - t)
+        return self.alpha * (t - lam)
 
+    @_conditional
     def cond_cdf(self, component: int, lam: float, t, s):
         m = self.cond_median(component, lam, t)
-        z = (np.asarray(s, dtype=float) - m) / self.cond_sd
-        return normal_cdf(z)
+        return normal_cdf((s - m) / self.cond_sd)
 
+    @_density
     def d_density(self, lam: float, t):
-        self._check_lambda(lam)
-        t = np.asarray(t, dtype=float)
-        out = np.exp(-0.5 * (t - lam) ** 2 / self.tau2) / math.sqrt(
+        return np.exp(-0.5 * (t - lam) ** 2 / self.tau2) / math.sqrt(
             2.0 * math.pi * self.tau2
         )
-        return _as_float_or_array(out, t.ndim == 0)
 
     def _joint_pdf(self, z1, z2):
         s1, s2, rho = self.sigma1, self.sigma2, self.rho
@@ -300,32 +320,23 @@ class ExponentialLocation(_ModelBase):
             return np.maximum(lam - t, 0.0)
         return np.maximum(t - lam, 0.0)
 
+    @_conditional
     def cond_median(self, component: int, lam: float, t):
-        _check_component(component)
-        self._check_lambda(lam)
-        t = np.asarray(t, dtype=float)
-        m = self._shift(component, lam, t) + self.pooled_scale * _LN2
-        return _as_float_or_array(m, t.ndim == 0)
+        return self._shift(component, lam, t) + self.pooled_scale * _LN2
 
+    @_conditional
     def cond_cdf(self, component: int, lam: float, t, s):
-        _check_component(component)
-        self._check_lambda(lam)
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
         shift = self._shift(component, lam, t)
-        out = -np.expm1(-self.rate * np.maximum(s - shift, 0.0))
-        return _as_float_or_array(out, out.ndim == 0)
+        return -np.expm1(-self.rate * np.maximum(s - shift, 0.0))
 
+    @_density
     def d_density(self, lam: float, t):
-        self._check_lambda(lam)
-        t = np.asarray(t, dtype=float)
         norm = 1.0 / (self.sigma1 + self.sigma2)
-        out = norm * np.where(
+        return norm * np.where(
             t >= lam,
             np.exp(-(t - lam) / self.sigma2),
             np.exp(-(lam - t) / self.sigma1),
         )
-        return _as_float_or_array(out, t.ndim == 0)
 
     def _d_integrand(self, lam: float, t: float):
         c = t - lam
@@ -385,43 +396,28 @@ class GammaScale(_ModelBase):
         z2 = rng.standard_gamma(self.alpha2, size)
         return Observation(params.theta1 * z1, params.theta2 * z2)
 
+    @_conditional
     def cond_median(self, component: int, lam: float, t):
-        _check_component(component)
-        self._check_lambda(lam)
-        self._check_t(t)
-        t = np.asarray(t, dtype=float)
         nu = self.pooled_median
         if component == 1:
-            m = lam * nu / (lam + t)
-        else:
-            m = t * nu / (lam + t)
-        return _as_float_or_array(m, t.ndim == 0)
+            return lam * nu / (lam + t)
+        return t * nu / (lam + t)
 
     def _cond_rate(self, component: int, lam: float, t):
         return 1.0 + t / lam if component == 1 else 1.0 + lam / t
 
+    @_conditional
     def cond_cdf(self, component: int, lam: float, t, s):
-        _check_component(component)
-        self._check_lambda(lam)
-        self._check_t(t)
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
         rate = self._cond_rate(component, lam, t)
-        x = np.maximum(rate * s, 0.0)
-        out = regularized_gamma_p(self.alpha1 + self.alpha2, x)
-        return _as_float_or_array(out, np.ndim(out) == 0)
+        return regularized_gamma_p(self.alpha1 + self.alpha2, np.maximum(rate * s, 0.0))
 
     def _ratio_log_density(self, u: np.ndarray) -> np.ndarray:
         a1, a2 = self.alpha1, self.alpha2
         return (a2 - 1.0) * np.log(u) - (a1 + a2) * np.log1p(u) - self._log_beta
 
+    @_density
     def d_density(self, lam: float, t):
-        self._check_lambda(lam)
-        self._check_t(t)
-        t = np.asarray(t, dtype=float)
-        u = t / lam
-        out = np.exp(self._ratio_log_density(u)) / lam
-        return _as_float_or_array(out, t.ndim == 0)
+        return np.exp(self._ratio_log_density(t / lam)) / lam
 
     def _d_integrand(self, lam: float, t: float):
         a1, a2 = self.alpha1, self.alpha2
@@ -487,23 +483,14 @@ class PowerScale(_ModelBase):
         ratio = lam / t if component == 1 else t / lam
         return np.minimum(1.0, ratio)
 
+    @_conditional
     def cond_median(self, component: int, lam: float, t):
-        _check_component(component)
-        self._check_lambda(lam)
-        self._check_t(t)
-        t = np.asarray(t, dtype=float)
-        m = 2.0 ** (-1.0 / self.shape_sum) * self._s_max(component, lam, t)
-        return _as_float_or_array(m, t.ndim == 0)
+        return 2.0 ** (-1.0 / self.shape_sum) * self._s_max(component, lam, t)
 
+    @_conditional
     def cond_cdf(self, component: int, lam: float, t, s):
-        _check_component(component)
-        self._check_lambda(lam)
-        self._check_t(t)
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
         frac = np.clip(s / self._s_max(component, lam, t), 0.0, 1.0)
-        out = frac ** self.shape_sum
-        return _as_float_or_array(out, out.ndim == 0)
+        return frac ** self.shape_sum
 
     def _ratio_density(self, u: np.ndarray) -> np.ndarray:
         a1, a2 = self.alpha1, self.alpha2
@@ -512,12 +499,9 @@ class PowerScale(_ModelBase):
         with np.errstate(over="ignore"):
             return coef * np.where(u <= 1.0, u ** (a2 - 1.0), u ** (-a1 - 1.0))
 
+    @_density
     def d_density(self, lam: float, t):
-        self._check_lambda(lam)
-        self._check_t(t)
-        t = np.asarray(t, dtype=float)
-        out = self._ratio_density(t / lam) / lam
-        return _as_float_or_array(out, t.ndim == 0)
+        return self._ratio_density(t / lam) / lam
 
     def _d_integrand(self, lam: float, t: float):
         a1, a2 = self.alpha1, self.alpha2
@@ -537,33 +521,50 @@ class PowerScale(_ModelBase):
 
 ModelSpec = Union[BivariateNormal, ExponentialLocation, GammaScale, PowerScale]
 
-_MODEL_FIELDS = {
-    "normal": (BivariateNormal, ("sigma1", "sigma2", "rho")),
-    "exponential": (ExponentialLocation, ("sigma1", "sigma2")),
-    "gamma": (GammaScale, ("alpha1", "alpha2")),
-    "power": (PowerScale, ("alpha1", "alpha2")),
+_MODELS = {
+    "normal": BivariateNormal,
+    "exponential": ExponentialLocation,
+    "gamma": GammaScale,
+    "power": PowerScale,
 }
 
 
+def finite_number(value, what: str) -> float:
+    """A JSON number as a finite float; strings, bools, NaN, infinities and
+    integers beyond binary64 are config errors.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
 def model_from_config(spec: dict) -> ModelSpec:
-    """Build a model from a config mapping: {"name": ..., <spec fields>}."""
+    """Build a model from a config mapping: {"name": ..., <spec fields>}.
+    Every failure, a value outside the model's domain included, is a
+    ConfigError.
+    """
     if not isinstance(spec, dict):
         raise ConfigError("model must be an object with a 'name' field")
     data = dict(spec)
     name = data.pop("name", None)
-    if name not in _MODEL_FIELDS:
+    if not isinstance(name, str) or name not in _MODELS:
         raise ConfigError(
-            f"unknown model name {name!r}; valid: {', '.join(sorted(_MODEL_FIELDS))}"
+            f"unknown model name {name!r}; valid: {', '.join(sorted(_MODELS))}"
         )
-    cls, fields = _MODEL_FIELDS[name]
-    missing = [f for f in fields if f not in data]
+    cls = _MODELS[name]
+    names = [f.name for f in fields(cls)]
+    missing = [f for f in names if f not in data]
     if missing:
         raise ConfigError(f"model {name!r} missing field(s): {', '.join(missing)}")
-    unknown = [f for f in data if f not in fields]
+    unknown = [f for f in data if f not in names]
     if unknown:
         raise ConfigError(f"model {name!r} has unknown field(s): {', '.join(unknown)}")
+    values = {f: finite_number(data[f], f"model field {f!r}") for f in names}
     try:
-        values = {f: float(data[f]) for f in fields}
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"model {name!r} has a non-numeric field: {e}") from e
-    return cls(**values)
+        return cls(**values)
+    except DomainError as e:
+        raise ConfigError(f"model {name!r}: {e}") from None

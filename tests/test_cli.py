@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pitnear.cli import TABLES, main, run_config_dict, run_table
 from pitnear.errors import ConfigError, UnknownEstimatorError
@@ -166,6 +168,14 @@ class TestRunConfig:
             assert float(mine["gpn"]) == pytest.approx(float(ref["gpn"]), abs=0.02)
 
 
+NORMAL_SWEEP = {"component": 1, "pairs": [["rmle", "pnlee"]], "gaps": [0.0, 1.0],
+                "loss": "location_abs"}
+
+
+def normal_model(**fields):
+    return {"name": "normal", "sigma1": 1.0, "sigma2": 1.0, "rho": 0.0, **fields}
+
+
 class TestCommandLine:
     def test_table_command(self, tmp_path):
         runner = CliRunner()
@@ -281,10 +291,26 @@ class TestCommandLine:
             {"pairs": [["rmle_star", "rmle", "0.7"]]},
             {"gaps": [float("nan")]},
             {"gaps": [1.0, float("inf")]},
+            {"model": {"name": "gamma", "alpha1": True, "alpha2": 1.0}},
+            {"model": {"name": "gamma", "alpha1": "2", "alpha2": 1.0}},
+            {"model": {"name": "gamma", "alpha1": 1.0, "alpha2": float("nan")}},
+            {"model": {"name": "gamma", "alpha1": float("inf"), "alpha2": 1.0}},
+            {"model": {"name": ["gamma"], "alpha1": 1.0, "alpha2": 1.0}},
+            {"model": {"name": "gamma", "alpha1": -1, "alpha2": 1.0}},
+            {**NORMAL_SWEEP, "model": normal_model(sigma2=True)},
+            {**NORMAL_SWEEP, "model": normal_model(rho="0.5")},
+            {**NORMAL_SWEEP, "model": normal_model(rho=float("inf"))},
+            {**NORMAL_SWEEP, "model": normal_model(rho=1.5)},
+            {"loss": "x"},
+            {"loss": 5},
+            {"loss": "location_abs"},
         ],
         ids=[
             "oracle_string", "component_bool", "gap_string", "seed_string",
             "n_samples_string", "n_samples_bool", "nu_string", "gap_nan", "gap_infinity",
+            "shape_bool", "shape_string", "shape_nan", "shape_infinity", "model_name_list",
+            "shape_negative", "scale_bool", "rho_string", "rho_infinity", "rho_out_of_range",
+            "loss_unknown", "loss_not_string", "loss_kind_mismatch",
         ],
     )
     def test_config_type_error_exits_2(self, tmp_path, overrides):
@@ -310,6 +336,94 @@ class TestCommandLine:
         result = CliRunner().invoke(main, ["run", str(path)])
         assert result.exit_code == 2
         assert "table" in result.output
+
+
+# Fuzzed JSON configs: a well-formed table or sweep config, then up to two
+# of its fields, at the top level or in the model, replaced by arbitrary JSON
+# or deleted. Sample counts stay below 100, so no example allocates much.
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-100, 100), st.just(2 ** 1024),
+    st.floats(), st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+SCALES = st.floats(0.1, 30.0)
+SHAPES = st.floats(0.2, 30.0)
+MODEL_FIELDS = {
+    "normal": {"sigma1": SCALES, "sigma2": SCALES, "rho": st.floats(-0.95, 0.95)},
+    "exponential": {"sigma1": SCALES, "sigma2": SCALES},
+    "gamma": {"alpha1": SHAPES, "alpha2": SHAPES},
+    "power": {"alpha1": SHAPES, "alpha2": SHAPES},
+}
+ESTIMATOR_NAMES = st.sampled_from([
+    "hp", "hp_star", "pdt", "pnlee", "pnlee_star", "pnsee", "pnsee_star",
+    "psi_nu", "psi_nu_hp", "rmle", "rmle_star", "ue", "ue_star",
+])
+DELETE = object()
+LOSSES = ["location_abs", "location_squared", "scale_abs", "scale_squared"]
+
+
+@st.composite
+def fuzzed_configs(draw):
+    n_samples = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        cfg = {"table": draw(st.integers(1, 6)), "n_samples": n_samples}
+        targets = [cfg]
+    else:
+        name = draw(st.sampled_from(sorted(MODEL_FIELDS)))
+        model = {"name": name, **{f: draw(v) for f, v in MODEL_FIELDS[name].items()}}
+        location = name in ("normal", "exponential")
+        pair = st.tuples(ESTIMATOR_NAMES, ESTIMATOR_NAMES).map(list) | st.tuples(
+            ESTIMATOR_NAMES, ESTIMATOR_NAMES, st.floats(0.0, 2.0)
+        ).map(list)
+        cfg = {
+            "model": model,
+            "component": draw(st.sampled_from([1, 2])),
+            "pairs": draw(st.lists(pair, min_size=1, max_size=2)),
+            "gaps": draw(st.lists(
+                st.floats(0.0, 3.0) if location else st.floats(1.0, 4.0),
+                min_size=1, max_size=3,
+            )),
+            "loss": draw(st.sampled_from(LOSSES[:2] if location else LOSSES[2:])),
+            "n_samples": n_samples,
+            "seed": draw(st.integers(0, 2 ** 64)),
+            "oracle": draw(st.booleans()),
+            "output": draw(st.sampled_from(["csv", "md"])),
+        }
+        targets = [cfg, model]
+    for _ in range(draw(st.integers(0, 2))):
+        target = draw(st.sampled_from(targets))
+        key = draw(st.sampled_from(sorted(target) + ["extra"]))
+        value = draw(st.just(DELETE) | (
+            JSON_VALUES if key != "n_samples"
+            else st.one_of(st.integers(-2, 64), st.floats(), st.text(max_size=4))
+        ))
+        if value is not DELETE:
+            target[key] = value
+        elif key in target:
+            del target[key]
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=fuzzed_configs())
+@example(cfg={**NORMAL_SWEEP, "model": normal_model(sigma1=1e200), "n_samples": 10})
+def test_fuzzed_config_exits_with_a_documented_code(fuzz_dir, cfg):
+    path = fuzz_dir / "config.json"
+    path.write_text(json.dumps(cfg))  # NaN and Infinity are written as JSON literals
+    result = CliRunner().invoke(main, ["run", str(path)])
+    assert result.exit_code in (0, 2, 3, 4), (result.exit_code, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
 
 
 # Stdout bytes written by the CLI of an earlier commit. Regenerate a file
