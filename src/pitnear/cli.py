@@ -293,6 +293,7 @@ def _render_table(cfg: dict) -> str:
     # Each column is a one-pair sweep on its own derived base seed.
     table_id, oracle = cfg["table"], cfg["oracle"]
     spec = TABLES[table_id]
+    loss = LossFn.from_name(spec.loss)
     columns: list[tuple[str, list[SweepCell]]] = []
     for col, config in enumerate(spec.configs):
         column = dict(
@@ -301,7 +302,7 @@ def _render_table(cfg: dict) -> str:
             component=spec.component,
             pairs=[(spec.candidate, spec.reference, None)],
             gaps=spec.gaps,
-            loss=LossFn.from_name(spec.loss),
+            loss=loss,
             seed=derive_cell_seed(cfg["seed"], table_id, col),
         )
         columns.append((_config_label(config), _sweep(column)))

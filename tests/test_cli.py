@@ -371,7 +371,13 @@ LOSSES = ["location_abs", "location_squared", "scale_abs", "scale_squared"]
 def fuzzed_configs(draw):
     n_samples = draw(st.integers(1, 64))
     if draw(st.booleans()):
-        cfg = {"table": draw(st.integers(1, 6)), "n_samples": n_samples}
+        # no oracle here: it costs about a second per table
+        cfg = {
+            "table": draw(st.integers(1, 6)),
+            "n_samples": n_samples,
+            "seed": draw(st.integers(0, 2 ** 64)),
+            "output": draw(st.sampled_from(["csv", "md"])),
+        }
         targets = [cfg]
     else:
         name = draw(st.sampled_from(sorted(MODEL_FIELDS)))
