@@ -18,7 +18,13 @@ from typing import Optional, Sequence
 
 import click
 
-from .errors import ConfigError, PitnearError, UnknownEstimatorError, UnsupportedCaseError
+from .errors import (
+    ConfigError,
+    DomainError,
+    PitnearError,
+    UnknownEstimatorError,
+    UnsupportedCaseError,
+)
 from .estimators import LossFn, resolve_estimator
 from .gpn import SweepCell, derive_cell_seed, gpn_sweep
 from .models import BivariateNormal, GammaScale, ProblemKind, finite_number, model_from_config
@@ -168,6 +174,10 @@ def run_table(
     )
 
 
+# Largest accepted n_samples. A cell holds all its draws at once: table 4
+# peaks at 91 MB RSS with 10**6 draws per cell, so 10**7 stays under 1 GB.
+MAX_SAMPLES = 10**7
+
 _CONFIG_FIELDS = {
     "table", "model", "component", "pairs", "gaps", "loss",
     "n_samples", "seed", "oracle", "output",
@@ -225,9 +235,10 @@ def _validate_config(cfg: dict) -> dict:
     }
     if out["output"] not in ("csv", "md"):
         raise ConfigError(f"field 'output' must be 'csv' or 'md', got {out['output']!r}")
-    if not _is_int(out["n_samples"]) or out["n_samples"] < 1:
+    if not _is_int(out["n_samples"]) or not 1 <= out["n_samples"] <= MAX_SAMPLES:
         raise ConfigError(
-            f"field 'n_samples' must be a positive integer, got {out['n_samples']!r}"
+            f"field 'n_samples' must be an integer in 1..{MAX_SAMPLES}, "
+            f"got {out['n_samples']!r}"
         )
     if not _is_int(out["seed"]):
         raise ConfigError(f"field 'seed' must be an integer, got {out['seed']!r}")
@@ -262,25 +273,36 @@ def _validate_config(cfg: dict) -> dict:
             f"loss {loss.name!r} does not fit the {model.kind.value} model "
             f"{type(model).__name__}"
         )
+    # last: resolving builds the model's catalog, the costliest check
+    pairs = _resolve_pairs(model, component, pairs)
     out.update(model=model, component=component, pairs=pairs, gaps=gaps, loss=loss)
     return out
 
 
-def _sweep(cfg: dict) -> list[SweepCell]:
-    """Resolve the named pairs of a validated sweep config and run them over
-    its gaps.
+def _resolve_pairs(model, component: int, pairs) -> list[tuple]:
+    """Look up the estimators of named (candidate, reference, nu) pairs. An
+    unknown name stays an UnknownEstimatorError; a missing nu, or one
+    outside the family's range, is a config value error.
     """
-    model, component = cfg["model"], cfg["component"]
-    pairs = [
-        (
-            resolve_estimator(model, component, cand, nu),
-            resolve_estimator(model, component, ref, nu),
-        )
-        for cand, ref, nu in cfg["pairs"]
-    ]
+    try:
+        return [
+            (
+                resolve_estimator(model, component, cand, nu),
+                resolve_estimator(model, component, ref, nu),
+            )
+            for cand, ref, nu in pairs
+        ]
+    except UnknownEstimatorError:
+        raise
+    except (UnsupportedCaseError, DomainError) as e:
+        raise ConfigError(str(e)) from None
+
+
+def _sweep(cfg: dict) -> list[SweepCell]:
+    """Run the resolved pairs of a validated sweep config over its gaps."""
     return gpn_sweep(
-        model,
-        pairs,
+        cfg["model"],
+        cfg["pairs"],
         cfg["gaps"],
         cfg["loss"],
         n_samples=cfg["n_samples"],
@@ -296,11 +318,14 @@ def _render_table(cfg: dict) -> str:
     loss = LossFn.from_name(spec.loss)
     columns: list[tuple[str, list[SweepCell]]] = []
     for col, config in enumerate(spec.configs):
+        model = spec.model_cls(*config)
         column = dict(
             cfg,
-            model=spec.model_cls(*config),
+            model=model,
             component=spec.component,
-            pairs=[(spec.candidate, spec.reference, None)],
+            pairs=_resolve_pairs(
+                model, spec.component, [(spec.candidate, spec.reference, None)]
+            ),
             gaps=spec.gaps,
             loss=loss,
             seed=derive_cell_seed(cfg["seed"], table_id, col),
@@ -409,7 +434,8 @@ def _exit_code(exc: Exception) -> int:
 
 
 _shared_options = [
-    click.option("--samples", type=int, default=None, help="Monte Carlo draws per cell."),
+    click.option("--samples", type=int, default=None,
+                 help=f"Monte Carlo draws per cell, at most {MAX_SAMPLES}."),
     click.option("--seed", type=int, default=None, help="Base seed for per-cell streams."),
     click.option("--oracle", is_flag=True, default=False,
                  help="Add the deterministic quadrature value per cell."),

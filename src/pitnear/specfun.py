@@ -41,6 +41,13 @@ _LANCZOS_COEF = (
 # Iteration budget of the series, the continued fraction and, by default,
 # each stage of the median search.
 _MAX_ITER = 200
+# Terms per block of the series and the continued fraction: convergence is
+# tested, and converged elements are dropped, once per block.
+_BLOCK = 4
+# Convergence tolerance of the continued fraction, relative to its value.
+# Rounding leaves successive convergents a few units in the last place
+# apart, so a bound of one eps is never met for some inputs.
+_CF_RTOL = 4.0 * _EPS
 
 
 def gammaln(x: float) -> float:
@@ -65,53 +72,87 @@ def _gamma_p_series(alpha: float, x: np.ndarray, max_iter: int) -> np.ndarray:
     if not live.any():
         return out
     xs = x[live]
+    sums = np.empty_like(xs)
+    # working arrays hold the unconverged elements; pos maps them into sums
+    pos = np.arange(xs.size)
+    xw = xs
     term = np.full_like(xs, 1.0 / alpha)
     total = term.copy()
     ap = alpha
-    converged = np.zeros_like(xs, dtype=bool)
-    for _ in range(max_iter):
-        ap += 1.0
-        term = term * xs / ap
-        total = np.where(converged, total, total + term)
-        converged |= np.abs(term) < np.abs(total) * _EPS
-        if converged.all():
+    for start in range(0, max_iter, _BLOCK):
+        for _ in range(min(_BLOCK, max_iter - start)):
+            ap += 1.0
+            term *= xw
+            term /= ap
+            total += term
+        # every term is positive
+        conv = term < total * _EPS
+        done = np.count_nonzero(conv)
+        if done == conv.size:
+            sums[pos] = total
             break
+        if done:
+            sums[pos[conv]] = total[conv]
+            keep = ~conv
+            pos, xw, term, total = pos[keep], xw[keep], term[keep], total[keep]
     else:
         raise ConvergenceError(
             f"incomplete gamma series did not converge for alpha={alpha}"
         )
-    lg = gammaln(alpha)
-    out[live] = total * np.exp(-xs + alpha * np.log(xs) - lg)
+    out[live] = sums * np.exp(-xs + alpha * np.log(xs) - gammaln(alpha))
     return out
 
 
 def _gamma_q_contfrac(alpha: float, x: np.ndarray, max_iter: int) -> np.ndarray:
-    """Upper-tail Q via modified Lentz continued fraction, for x >= alpha + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - alpha
-    c = np.full_like(x, 1.0 / tiny)
-    d = 1.0 / b
-    h = d.copy()
-    converged = np.zeros_like(x, dtype=bool)
-    for i in range(1, max_iter + 1):
-        an = -i * (i - alpha)
-        b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = d * c
-        h = np.where(converged, h, h * delta)
-        converged |= np.abs(delta - 1.0) < _EPS
-        if converged.all():
+    """Upper-tail Q via the Legendre continued fraction, for x >= alpha + 1.
+
+    The fraction 1/(b0 + a1/(b1 + a2/(b2 + ...))), with b_n = x + 1 - alpha
+    + 2n and a_n = -n (n - alpha), is summed by the Wallis recurrence on its
+    convergents A_n / B_n, rescaled by B_n once per block. B_n never
+    vanishes: for x >= alpha, induction on B_n = b_n B_{n-1} + a_n B_{n-2}
+    gives B_n / B_{n-1} >= n + 1. The same induction on A_n gives A_n > 0
+    for x >= 1, so every convergent is positive.
+    """
+    out = np.zeros_like(x)
+    pre = np.exp(-x + alpha * np.log(x) - gammaln(alpha))
+    # where the prefactor underflows Q is 0 whatever the fraction; skipping
+    # those elements also keeps B_n finite within a block for huge x
+    live = np.flatnonzero(pre > 0.0)
+    if live.size == 0:
+        return out
+    frac = np.empty(live.size)
+    pos = np.arange(live.size)
+    b0 = x[live] + 1.0 - alpha
+    # (A_n, B_n) in p1 and (A_{n-1}, B_{n-1}) in p0, scaled so that B_n = 1
+    p1 = np.stack([1.0 / b0, np.ones_like(b0)])
+    p0 = np.stack([np.zeros_like(b0), p1[0]])
+    twice_n = 2.0 * np.arange(1.0, max_iter + 1.0)[:, None]
+    n = 0
+    for start in range(0, max_iter, _BLOCK):
+        for b in twice_n[start:start + _BLOCK] + b0:
+            n += 1
+            nxt = p1 * b
+            nxt += (-n * (n - alpha)) * p0
+            p0, p1 = p1, nxt
+        p0 /= p1[1]
+        p1 /= p1[1]
+        h = p1[0]
+        # the last two convergents agree: A_n / B_n against A_{n-1} / B_{n-1}
+        conv = np.abs(h - p0[0] / p0[1]) <= _CF_RTOL * h
+        done = np.count_nonzero(conv)
+        if done == h.size:
+            frac[pos] = h
             break
+        if done:
+            frac[pos[conv]] = h[conv]
+            keep = ~conv
+            pos, b0, p0, p1 = pos[keep], b0[keep], p0[:, keep], p1[:, keep]
     else:
         raise ConvergenceError(
             f"incomplete gamma continued fraction did not converge for alpha={alpha}"
         )
-    lg = gammaln(alpha)
-    return np.exp(-x + alpha * np.log(x) - lg) * h
+    out[live] = pre[live] * frac
+    return out
 
 
 def regularized_gamma_p(alpha: float, x):
@@ -125,13 +166,13 @@ def regularized_gamma_p(alpha: float, x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.isnan(arr).any() or (arr < 0.0).any():
+    # NaN fails the comparison too
+    if not (arr >= 0.0).all():
         raise DomainError("regularized_gamma_p requires x >= 0")
-    out = np.empty_like(arr)
-    inf = np.isinf(arr)
-    out[inf] = 1.0
-    lo = (arr < alpha + 1.0) & ~inf
-    hi = ~lo & ~inf
+    lo = arr < alpha + 1.0
+    hi = ~lo & (arr < np.inf)
+    # P(alpha, inf) = 1
+    out = np.ones_like(arr)
     if lo.any():
         out[lo] = _gamma_p_series(alpha, arr[lo], _MAX_ITER)
     if hi.any():

@@ -304,13 +304,21 @@ class TestCommandLine:
             {"loss": "x"},
             {"loss": 5},
             {"loss": "location_abs"},
+            # rho 0 and sigma1 = 2 sigma2 put the psi_nu family at nu in [0.2, 1)
+            {**NORMAL_SWEEP, "model": normal_model(sigma1=2.0), "pairs": [["psi_nu", "pnlee"]]},
+            {**NORMAL_SWEEP, "model": normal_model(sigma1=2.0),
+             "pairs": [["psi_nu", "pnlee", 1.5]]},
+            # rejected before any draw: 2**62 draws would fail in numpy
+            {"n_samples": 2 ** 62},
+            {"n_samples": 2 ** 100},
         ],
         ids=[
             "oracle_string", "component_bool", "gap_string", "seed_string",
             "n_samples_string", "n_samples_bool", "nu_string", "gap_nan", "gap_infinity",
             "shape_bool", "shape_string", "shape_nan", "shape_infinity", "model_name_list",
             "shape_negative", "scale_bool", "rho_string", "rho_infinity", "rho_out_of_range",
-            "loss_unknown", "loss_not_string", "loss_kind_mismatch",
+            "loss_unknown", "loss_not_string", "loss_kind_mismatch", "nu_missing",
+            "nu_out_of_range", "n_samples_2e62", "n_samples_2e100",
         ],
     )
     def test_config_type_error_exits_2(self, tmp_path, overrides):

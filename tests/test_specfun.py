@@ -1,10 +1,25 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pitnear.errors import ConvergenceError, DomainError
-from pitnear.specfun import gamma_median, gammaln, normal_cdf, regularized_gamma_p
+from pitnear.specfun import (
+    _gamma_p_series,
+    _gamma_q_contfrac,
+    gamma_median,
+    gammaln,
+    normal_cdf,
+    regularized_gamma_p,
+)
+
+EPS = np.finfo(float).eps
+# 30-digit values of P(alpha, x) written by tests/data/make_gamma_p_reference.py
+GAMMA_P_REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "gamma_p_reference.json").read_text(encoding="utf-8")
+)["values"]
 
 MEDIAN_ALPHAS = [0.2, 0.5, 0.7, 1.0, 1.2, 2.0, 2.5, 5.0, 7.0, 31.0]
 
@@ -27,6 +42,22 @@ def trapezoid_gamma_p(alpha, x, n=200001):
     u = np.linspace(math.log(eps), math.log(x), n)
     tail = np.trapezoid(np.exp(alpha * u - np.exp(u)), u)
     return (head + tail) / math.exp(gammaln(alpha))
+
+
+def closed_form_grid(alpha):
+    """x from 1e-6 to 1e3, plus points on both sides of the series /
+    continued-fraction split at alpha + 1."""
+    split = alpha + 1.0 + np.array([-0.01, -1e-9, 0.0, 1e-9, 0.01])
+    return np.sort(np.concatenate([np.logspace(-6.0, 3.0, 46), split]))
+
+
+def integer_shape_p(n, x):
+    """P(n, x) = 1 - e^-x sum_{k<n} x^k / k! for a positive integer n."""
+    term = total = 1.0
+    for k in range(1, n):
+        term *= x / k
+        total += term
+    return 1.0 - math.exp(-x) * total
 
 
 def assert_batch_independent(fn, x):
@@ -72,10 +103,70 @@ class TestRegularizedGammaP:
 
     @pytest.mark.parametrize("alpha", [0.2, 0.7, 3.7])
     def test_batch_independent(self, alpha):
-        # series (x < alpha + 1) and continued-fraction arguments in one batch
+        # series (x < alpha + 1) and continued-fraction arguments in one
+        # batch; the last point converges after 120.0, ahead of it in the batch
         x = np.array([0.0, 1e-9, 0.3, alpha + 0.99, alpha + 1.0, 2.5, 7.0,
-                      alpha + 40.0, 1e-4, np.inf, 0.95 * alpha, 120.0])
+                      alpha + 40.0, 1e-4, np.inf, 0.95 * alpha, 120.0, alpha + 3.0])
         assert_batch_independent(lambda v: regularized_gamma_p(alpha, v), x)
+
+    # Tolerances in units of eps, set from the largest error of the earlier
+    # per-term series and modified-Lentz evaluation on the same points,
+    # rounded up to at most twice it.
+    # Closed forms with relative accuracy: that evaluation reached
+    # 14.3 eps for P(1, x) = -expm1(-x) and 6.2 eps for P(1/2, x) = erf(sqrt x).
+    @pytest.mark.parametrize(
+        "alpha, closed, rtol",
+        [
+            (1.0, lambda x: -math.expm1(-x), 24 * EPS),
+            (0.5, lambda x: math.erf(math.sqrt(x)), 12 * EPS),
+        ],
+        ids=["shape_1", "shape_half"],
+    )
+    def test_matches_closed_form(self, alpha, closed, rtol):
+        x = closed_form_grid(alpha)
+        want = np.array([closed(v) for v in x])
+        np.testing.assert_allclose(regularized_gamma_p(alpha, x), want, rtol=rtol, atol=0.0)
+
+    # The finite sum loses relative accuracy to cancellation where P is
+    # small, so it is compared absolutely; the earlier evaluation reached
+    # 1.5, 4.5 and 48.5 eps.
+    @pytest.mark.parametrize("n, atol", [(2, 3 * EPS), (5, 8 * EPS), (30, 64 * EPS)])
+    def test_matches_integer_shape_sum(self, n, atol):
+        x = closed_form_grid(float(n))
+        want = np.array([integer_shape_p(n, v) for v in x])
+        np.testing.assert_allclose(regularized_gamma_p(float(n), x), want, rtol=0.0, atol=atol)
+
+    # Relative to 30-digit values; the earlier evaluation reached 3.7, 9.7
+    # and 175 eps (the last at P(31, 1e-6) = 1.2e-220).
+    @pytest.mark.parametrize("shape, rtol", [("0.2", 6 * EPS), ("0.7", 16 * EPS), ("31", 256 * EPS)])
+    def test_matches_high_precision_reference(self, shape, rtol):
+        rows = GAMMA_P_REFERENCE[shape]
+        x = np.array([float(v) for v, _ in rows])
+        want = np.array([float(p) for _, p in rows])
+        assert x.min() <= 1e-6 and x.max() >= 1e3
+        split = float(shape) + 1.0
+        assert (x < split).any() and (x == split).any() and (x > split).any()
+        np.testing.assert_allclose(
+            regularized_gamma_p(float(shape), x), want, rtol=rtol, atol=0.0
+        )
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3, 5])
+    def test_exhausted_budget_raises(self, max_iter):
+        # at alpha = 0.7, 1.6 and 1.8 each need more than 20 terms
+        with pytest.raises(ConvergenceError, match="series"):
+            _gamma_p_series(0.7, np.array([0.01, 1.6]), max_iter)
+        with pytest.raises(ConvergenceError, match="continued fraction"):
+            _gamma_q_contfrac(0.7, np.array([1.8, 30.0]), max_iter)
+
+    @pytest.mark.parametrize(
+        "fn, x", [(_gamma_p_series, 0.01), (_gamma_q_contfrac, 30.0)], ids=["series", "contfrac"]
+    )
+    def test_budget_counts_terms_not_blocks(self, fn, x):
+        # at alpha = 0.7 each point needs 7 terms, which is not a whole
+        # number of blocks: a budget of 6 must not run on to a block's end
+        assert fn(0.7, np.array([x]), 7)[0] > 0.0
+        with pytest.raises(ConvergenceError):
+            fn(0.7, np.array([x]), 6)
 
     def test_infinite_x_is_one(self):
         assert regularized_gamma_p(3.0, np.inf) == 1.0
