@@ -11,6 +11,7 @@ each squared loss is a strictly increasing transform of its absolute one.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .estimators import Estimator, LossFn
-from .models import ModelSpec, ProblemKind, RestrictedParams
+from .models import _BLOCK, ModelSpec, ProblemKind, RestrictedParams
 from .quadrature import adaptive_quadrature
 
 __all__ = [
@@ -108,19 +109,26 @@ def gpn_monte_carlo(task: ComparisonTask) -> GpnResult:
     """Estimate GPN by paired sampling: both estimators are evaluated on the
     same draws, which makes the win/loss/tie partition shared and slashes
     variance. Deterministic for a fixed seed.
+
+    The draws are compared block by block. Every step is element-wise with
+    exactly rounded IEEE operations, so the counts do not depend on the
+    block size, while the temporaries stay small.
     """
     task.validate()
     rng = np.random.default_rng(task.seed)
     x1, x2 = task.model.sample(task.params, rng, size=task.n_samples)
     theta = task.params.component(task.candidate.target)
-    loss_cand = task.loss.evaluate(task.candidate.evaluate(x1, x2), theta)
-    loss_ref = task.loss.evaluate(task.reference.evaluate(x1, x2), theta)
-    tol = np.maximum(loss_cand, loss_ref)
-    np.maximum(tol, 1.0, out=tol)
-    tol *= TIE_EPS
-    diff = loss_cand - loss_ref
-    wins = int(np.count_nonzero(diff < -tol))
-    ties = int(np.count_nonzero(np.abs(diff, out=diff) <= tol))
+    wins = ties = 0
+    for i in range(0, task.n_samples, _BLOCK):
+        b1, b2 = x1[i:i + _BLOCK], x2[i:i + _BLOCK]
+        loss_cand = task.loss.evaluate(task.candidate.evaluate(b1, b2), theta)
+        loss_ref = task.loss.evaluate(task.reference.evaluate(b1, b2), theta)
+        tol = np.maximum(loss_cand, loss_ref)
+        np.maximum(tol, 1.0, out=tol)
+        tol *= TIE_EPS
+        diff = loss_cand - loss_ref
+        wins += int(np.count_nonzero(diff < -tol))
+        ties += int(np.count_nonzero(np.abs(diff, out=diff) <= tol))
     return GpnResult.from_counts(wins, ties, task.n_samples, task.seed)
 
 
@@ -240,28 +248,57 @@ def gpn_sweep(
 ) -> list[SweepCell]:
     """Monte Carlo GPN for every (pair, gap) cell, each on its own derived
     seed; rows come back in the given (pair, gap) order.
+
+    The Monte Carlo cells run on a pool of one thread per usable CPU (numpy
+    releases the GIL while it draws and computes), and each cell owns its
+    generator, so the results do not depend on the thread count. The
+    calling thread collects the cells in order and computes each oracle
+    value as its cell arrives, so the first error raised is the one a serial
+    loop would raise. Gaps are checked before any cell starts.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    gaps = [float(gap) for gap in gaps]
+    tasks = [
+        ComparisonTask(
+            model=model,
+            params=_pinned_params(model.kind, gap),
+            candidate=candidate,
+            reference=reference,
+            loss=loss,
+            n_samples=n_samples,
+            seed=derive_cell_seed(base_seed, i, j),
+        )
+        for i, (candidate, reference) in enumerate(pairs)
+        for j, gap in enumerate(gaps)
+    ]
+    if not tasks:
+        return []
     cells: list[SweepCell] = []
-    gaps = list(gaps)
-    for i, (candidate, reference) in enumerate(pairs):
-        for j, gap in enumerate(gaps):
-            task = ComparisonTask(
-                model=model,
-                params=_pinned_params(model.kind, float(gap)),
-                candidate=candidate,
-                reference=reference,
-                loss=loss,
-                n_samples=n_samples,
-                seed=derive_cell_seed(base_seed, i, j),
-            )
-            cells.append(
-                SweepCell(
-                    pair_index=i,
-                    candidate_name=candidate.name,
-                    reference_name=reference.name,
-                    gap=float(gap),
-                    result=gpn_monte_carlo(task),
-                    oracle=gpn_oracle(task) if oracle else None,
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(tasks))) as pool:
+        try:
+            futures = [pool.submit(gpn_monte_carlo, task) for task in tasks]
+            for k, (task, future) in enumerate(zip(tasks, futures)):
+                result = future.result()
+                i, j = divmod(k, len(gaps))
+                cells.append(
+                    SweepCell(
+                        pair_index=i,
+                        candidate_name=task.candidate.name,
+                        reference_name=task.reference.name,
+                        gap=gaps[j],
+                        result=result,
+                        oracle=gpn_oracle(task) if oracle else None,
+                    )
                 )
-            )
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return cells
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1

@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .quadrature import adaptive_quadrature
 from .specfun import gamma_median, gammaln, normal_cdf, regularized_gamma_p
 
 __all__ = [
@@ -36,6 +35,15 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+# Draws per block wherever a pass over the draws works block by block: a
+# block's float64 temporaries (128 KiB each) stay in cache.
+_BLOCK = 1 << 14
+
+# Largest supported gamma shape sum alpha1 + alpha2. The pooled median and
+# the conditional CDF evaluate the incomplete gamma at that shape, and its
+# series stops converging within the iteration budget near 550.
+GAMMA_MAX_SHAPE_SUM = 500.0
 
 
 class ProblemKind(Enum):
@@ -125,6 +133,14 @@ def _float_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _observation(x1: np.ndarray, x2: np.ndarray) -> Observation:
+    """The observation that sampling built in place in the arrays of its raw
+    draws; a scalar draw (size=None) was held as a 0-d array and leaves as a
+    Python float.
+    """
+    return Observation(_float_or_array(x1), _float_or_array(x2))
+
+
 def _conditional(method):
     """Argument handling shared by cond_median(component, lam, t) and
     cond_cdf(component, lam, t, s): checks the component, gap and contrast,
@@ -174,17 +190,6 @@ class _ModelBase:
     def check_params(self, params: RestrictedParams) -> None:
         params.gap(self.kind)  # raises on a non-positive scale theta
 
-    def d_density_integral(self, lam: float, t: float, rel_tol: float = 1e-9) -> float:
-        """Contrast density at t evaluated from its defining one-dimensional
-        integral by adaptive quadrature (reference path for the closed form).
-        """
-        self._check_lambda(lam)
-        self._check_t(t)
-        lo, hi, integrand = self._d_integrand(lam, float(t))
-        return adaptive_quadrature(
-            integrand, lo, hi, abs_tol=0.0, rel_tol=rel_tol, max_panels=4000
-        )
-
 
 # ---------------------------------------------------------------------------
 # bivariate normal (location)
@@ -232,14 +237,21 @@ class BivariateNormal(_ModelBase):
 
     def sample(self, params: RestrictedParams, rng: np.random.Generator, size=None):
         self.check_params(params)
-        z1 = rng.standard_normal(size)
-        z2 = rng.standard_normal(size)
-        # Cholesky factor of the 2x2 covariance applied to (z1, z2)
-        x1 = params.theta1 + self.sigma1 * z1
-        x2 = params.theta2 + self.sigma2 * (
-            self.rho * z1 + math.sqrt(1.0 - self.rho ** 2) * z2
-        )
-        return Observation(x1, x2)
+        z1 = np.asarray(rng.standard_normal(size))
+        z2 = np.asarray(rng.standard_normal(size))
+        # Cholesky factor of the 2x2 covariance applied to (z1, z2), in place:
+        # x2 = theta2 + sigma2 (rho z1 + sqrt(1 - rho^2) z2), then
+        # x1 = theta1 + sigma1 z1. The rho z1 term is added block by block,
+        # so no third full-length array is live.
+        z2 *= math.sqrt(1.0 - self.rho ** 2)
+        flat1, flat2 = z1.reshape(-1), z2.reshape(-1)
+        for i in range(0, flat2.size, _BLOCK):
+            flat2[i:i + _BLOCK] += self.rho * flat1[i:i + _BLOCK]
+        z2 *= self.sigma2
+        z2 += params.theta2
+        z1 *= self.sigma1
+        z1 += params.theta1
+        return _observation(z1, z2)
 
     @_conditional
     def cond_median(self, component: int, lam: float, t):
@@ -257,21 +269,6 @@ class BivariateNormal(_ModelBase):
         return np.exp(-0.5 * (t - lam) ** 2 / self.tau2) / math.sqrt(
             2.0 * math.pi * self.tau2
         )
-
-    def _joint_pdf(self, z1, z2):
-        s1, s2, rho = self.sigma1, self.sigma2, self.rho
-        q = (
-            (z1 / s1) ** 2
-            - 2.0 * rho * z1 * z2 / (s1 * s2)
-            + (z2 / s2) ** 2
-        ) / (1.0 - rho ** 2)
-        return np.exp(-0.5 * q) / (2.0 * math.pi * s1 * s2 * math.sqrt(1.0 - rho ** 2))
-
-    def _d_integrand(self, lam: float, t: float):
-        c = t - lam
-        center = -(1.0 - self.alpha) * c
-        width = 12.0 * self.cond_sd
-        return center - width, center + width, lambda y: self._joint_pdf(y, y + c)
 
     def d_quadrature_segments(self, lam: float) -> list[QuadSegment]:
         tau = math.sqrt(self.tau2)
@@ -309,11 +306,16 @@ class ExponentialLocation(_ModelBase):
 
     def sample(self, params: RestrictedParams, rng: np.random.Generator, size=None):
         self.check_params(params)
-        u1 = rng.random(size)
-        u2 = rng.random(size)
-        x1 = params.theta1 - self.sigma1 * np.log1p(-u1)
-        x2 = params.theta2 - self.sigma2 * np.log1p(-u2)
-        return Observation(x1, x2)
+        u1 = np.asarray(rng.random(size))
+        u2 = np.asarray(rng.random(size))
+        # x = theta - sigma log1p(-u), in place
+        for u, theta, sigma in ((u1, params.theta1, self.sigma1),
+                                (u2, params.theta2, self.sigma2)):
+            np.negative(u, out=u)
+            np.log1p(u, out=u)
+            u *= sigma
+            np.subtract(theta, u, out=u)
+        return _observation(u1, u2)
 
     def _shift(self, component: int, lam: float, t):
         if component == 1:
@@ -337,19 +339,6 @@ class ExponentialLocation(_ModelBase):
             np.exp(-(t - lam) / self.sigma2),
             np.exp(-(lam - t) / self.sigma1),
         )
-
-    def _d_integrand(self, lam: float, t: float):
-        c = t - lam
-        y0 = max(-c, 0.0)
-        norm = 1.0 / (self.sigma1 * self.sigma2)
-
-        def integrand(y):
-            z2 = y + c
-            good = (y >= y0) & (z2 >= 0.0)
-            val = norm * np.exp(-y / self.sigma1 - np.maximum(z2, 0.0) / self.sigma2)
-            return np.where(good, val, 0.0)
-
-        return y0, y0 + 50.0 / self.rate, integrand
 
     def d_quadrature_segments(self, lam: float) -> list[QuadSegment]:
         return [
@@ -377,6 +366,11 @@ class GammaScale(_ModelBase):
     def __post_init__(self):
         if not (self.alpha1 > 0.0 and self.alpha2 > 0.0):
             raise DomainError("alpha1 and alpha2 must be positive")
+        if not self.alpha1 + self.alpha2 <= GAMMA_MAX_SHAPE_SUM:
+            raise DomainError(
+                f"alpha1 + alpha2 must be at most {GAMMA_MAX_SHAPE_SUM:g}, "
+                f"got {self.alpha1 + self.alpha2:g}"
+            )
 
     @cached_property
     def pooled_median(self) -> float:
@@ -392,9 +386,11 @@ class GammaScale(_ModelBase):
 
     def sample(self, params: RestrictedParams, rng: np.random.Generator, size=None):
         self.check_params(params)
-        z1 = rng.standard_gamma(self.alpha1, size)
-        z2 = rng.standard_gamma(self.alpha2, size)
-        return Observation(params.theta1 * z1, params.theta2 * z2)
+        z1 = np.asarray(rng.standard_gamma(self.alpha1, size))
+        z2 = np.asarray(rng.standard_gamma(self.alpha2, size))
+        z1 *= params.theta1
+        z2 *= params.theta2
+        return _observation(z1, z2)
 
     @_conditional
     def cond_median(self, component: int, lam: float, t):
@@ -418,26 +414,6 @@ class GammaScale(_ModelBase):
     @_density
     def d_density(self, lam: float, t):
         return np.exp(self._ratio_log_density(t / lam)) / lam
-
-    def _d_integrand(self, lam: float, t: float):
-        a1, a2 = self.alpha1, self.alpha2
-        lognorm = gammaln(a1) + gammaln(a2)
-        rate = 1.0 + t / lam
-
-        def integrand(y):
-            y = np.maximum(y, 1e-300)
-            logv = (
-                (a1 + a2 - 1.0) * np.log(y)
-                - rate * y
-                + (a2 - 1.0) * math.log(t / lam)
-                - math.log(lam)
-                - lognorm
-            )
-            return np.exp(logv)
-
-        mean = (a1 + a2) / rate
-        sd = math.sqrt(a1 + a2) / rate
-        return 0.0, mean + 40.0 * sd + 40.0 / rate, integrand
 
     def d_quadrature_segments(self, lam: float) -> list[QuadSegment]:
         # Ratio tails are power laws, so both ends are compactified toward 0
@@ -475,9 +451,17 @@ class PowerScale(_ModelBase):
         self.check_params(params)
         u1 = rng.random(size)
         u2 = rng.random(size)
-        x1 = params.theta1 * u1 ** (1.0 / self.alpha1)
-        x2 = params.theta2 * u2 ** (1.0 / self.alpha2)
-        return Observation(x1, x2)
+        e1, e2 = 1.0 / self.alpha1, 1.0 / self.alpha2
+        if size is None:
+            # Python's pow on floats, which rounds unlike numpy's power
+            return Observation(params.theta1 * u1 ** e1, params.theta2 * u2 ** e2)
+        # x = theta u^(1/alpha), in place; **= keeps numpy's fast paths for
+        # the exponents 0.5, 1 and 2 that ** takes
+        u1 **= e1
+        u2 **= e2
+        u1 *= params.theta1
+        u2 *= params.theta2
+        return _observation(u1, u2)
 
     def _s_max(self, component: int, lam: float, t):
         ratio = lam / t if component == 1 else t / lam
@@ -502,18 +486,6 @@ class PowerScale(_ModelBase):
     @_density
     def d_density(self, lam: float, t):
         return self._ratio_density(t / lam) / lam
-
-    def _d_integrand(self, lam: float, t: float):
-        a1, a2 = self.alpha1, self.alpha2
-        hi = min(1.0, lam / t)
-
-        def integrand(y):
-            y = np.maximum(y, 1e-300)
-            z2 = y * t / lam
-            val = (a1 * a2 / lam) * y ** a1 * z2 ** (a2 - 1.0)
-            return np.where((y < 1.0) & (z2 < 1.0), val, 0.0)
-
-        return 0.0, hi, integrand
 
     def d_quadrature_segments(self, lam: float) -> list[QuadSegment]:
         return _ratio_segments(lam)

@@ -338,6 +338,30 @@ class TestCommandLine:
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "alphas, code",
+        [((300.0, 200.0), 0), ((300.0, 200.5), 2), ((300.0, 300.0), 2)],
+        ids=["at_ceiling", "just_above", "far_above"],
+    )
+    def test_gamma_shape_ceiling(self, tmp_path, alphas, code):
+        # shape sums up to 500 run, oracle included; above it the incomplete
+        # gamma would not converge, so the config is rejected up front
+        cfg = {
+            "model": {"name": "gamma", "alpha1": alphas[0], "alpha2": alphas[1]},
+            "component": 2,
+            "pairs": [["rmle_star", "rmle"]],
+            "gaps": [1.0, 1.1],
+            "loss": "scale_abs",
+            "n_samples": 100,
+            "oracle": True,
+        }
+        path = tmp_path / "shapes.json"
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == code, result.output
+        if code:
+            assert "alpha1 + alpha2 must be at most 500" in result.output
+
     def test_table_id_bool_exits_2(self, tmp_path):
         path = tmp_path / "table.json"
         path.write_text(json.dumps({"table": True, "n_samples": 100}))
@@ -454,6 +478,12 @@ GOLDEN = [
         for t in range(1, 7)
     ),
     (["run", str(DATA / "run_gamma_oracle.json")], "run_gamma_oracle.md"),
+    # above one block of draws, so the blocked comparison runs several blocks
+    *(
+        (["table", str(t), "--samples", "100000", "--seed", "3", "--out", "csv"],
+         f"table{t}_n100000_seed3.csv")
+        for t in (1, 4)
+    ),
 ]
 
 

@@ -1,13 +1,18 @@
 import json
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pitnear.gpn as gpn
 from pitnear.errors import DomainError
-from pitnear.estimators import LossFn, resolve_estimator
+from pitnear.estimators import Estimator, LossFn, resolve_estimator
 from pitnear.gpn import (
+    TIE_EPS,
     ComparisonTask,
+    GpnResult,
     derive_cell_seed,
     gpn_monte_carlo,
     gpn_oracle,
@@ -54,6 +59,27 @@ def task_for(model, gap, cand_name, ref_name, n=2 ** 12, seed=42):
     )
 
 
+def unblocked_monte_carlo(task):
+    """The comparison on whole arrays at once: the reference that the
+    blocked comparison must match count for count.
+    """
+    rng = np.random.default_rng(task.seed)
+    x1, x2 = task.model.sample(task.params, rng, size=task.n_samples)
+    theta = task.params.component(task.candidate.target)
+    loss_cand = task.loss.evaluate(task.candidate.evaluate(x1, x2), theta)
+    loss_ref = task.loss.evaluate(task.reference.evaluate(x1, x2), theta)
+    tol = np.maximum(loss_cand, loss_ref)
+    np.maximum(tol, 1.0, out=tol)
+    tol *= TIE_EPS
+    diff = loss_cand - loss_ref
+    wins = int(np.count_nonzero(diff < -tol))
+    ties = int(np.count_nonzero(np.abs(diff, out=diff) <= tol))
+    return GpnResult.from_counts(wins, ties, task.n_samples, task.seed)
+
+
+BLOCK_EDGE_SIZES = [1, 7, 2 ** 14 - 1, 2 ** 14 + 1, 3 * 2 ** 14 + 5]
+
+
 class TestMonteCarlo:
     def test_self_comparison_is_exactly_half(self):
         est = resolve_estimator(ANCHOR_NORMAL, 1, "rmle")
@@ -94,6 +120,18 @@ class TestMonteCarlo:
         rev = gpn_monte_carlo(task_for(ANCHOR_NORMAL, 0.5, "pnlee", "rmle", seed=17))
         assert fwd.estimate + rev.estimate == 1.0
         assert fwd.tie_fraction == rev.tie_fraction
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    @pytest.mark.parametrize(
+        "model, gap, cand, ref",
+        [
+            (ANCHOR_NORMAL, 0.5, "rmle", "pnlee"),
+            (GammaScale(0.5, 0.2), 2.0, "rmle_star", "rmle"),
+        ],
+    )
+    def test_blocked_counts_match_unblocked(self, model, gap, cand, ref, n):
+        task = task_for(model, gap, cand, ref, n=n, seed=n)
+        assert gpn_monte_carlo(task) == unblocked_monte_carlo(task)
 
     def test_validation_errors(self):
         cand = resolve_estimator(ANCHOR_NORMAL, 1, "rmle")
@@ -225,6 +263,15 @@ class TestOracle:
             assert abs(r_abs.estimate - r_sq.estimate) <= 4.0 * r_abs.std_error
 
 
+@pytest.fixture
+def fast_thread_switches():
+    """Switch threads every 10 us instead of 5 ms, to stress the pool."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
 class TestSweep:
     def test_grid_shape_and_order(self):
         pairs = [
@@ -256,6 +303,75 @@ class TestSweep:
         a = gpn_sweep(ANCHOR_NORMAL, pair, [0.0, 1.0], LOC_ABS, n_samples=2 ** 10, base_seed=3)
         b = gpn_sweep(ANCHOR_NORMAL, pair, [0.0, 1.0], LOC_ABS, n_samples=2 ** 10, base_seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_matches_cell_by_cell(self, monkeypatch, fast_thread_switches, workers):
+        # the pool's results equal the cells run one by one, whatever the
+        # number of threads
+        monkeypatch.setattr(gpn, "_usable_cpus", lambda: workers)
+        pairs = [
+            (
+                resolve_estimator(ANCHOR_NORMAL, 1, "rmle"),
+                resolve_estimator(ANCHOR_NORMAL, 1, "pnlee"),
+            ),
+            (
+                resolve_estimator(ANCHOR_NORMAL, 1, "pdt"),
+                resolve_estimator(ANCHOR_NORMAL, 1, "rmle"),
+            ),
+        ]
+        gaps = [0.0, 0.5, 2.0]
+        n = 2 ** 14 + 3
+        cells = gpn_sweep(ANCHOR_NORMAL, pairs, gaps, LOC_ABS, n_samples=n, base_seed=7)
+        tasks = [
+            ComparisonTask(
+                ANCHOR_NORMAL, RestrictedParams(0.0, gap), cand, ref, LOC_ABS,
+                n_samples=n, seed=derive_cell_seed(7, i, j),
+            )
+            for i, (cand, ref) in enumerate(pairs)
+            for j, gap in enumerate(gaps)
+        ]
+        assert [c.result for c in cells] == [gpn_monte_carlo(t) for t in tasks]
+        assert [(c.candidate_name, c.reference_name) for c in cells] == [
+            (t.candidate.name, t.reference.name) for t in tasks
+        ]
+
+    def test_oracle_cells_match_cell_by_cell(self):
+        pair = [
+            (
+                resolve_estimator(ANCHOR_GAMMA, 2, "rmle_star"),
+                resolve_estimator(ANCHOR_GAMMA, 2, "rmle"),
+            )
+        ]
+        gaps = [1.0, 1.5, 3.0]
+        cells = gpn_sweep(ANCHOR_GAMMA, pair, gaps, SCALE_ABS, n_samples=64, oracle=True)
+        for cell, gap in zip(cells, gaps):
+            task = ComparisonTask(
+                ANCHOR_GAMMA, RestrictedParams(1.0, gap), *pair[0], SCALE_ABS, n_samples=64
+            )
+            assert cell.oracle == gpn_oracle(task)
+
+    def test_cell_error_comes_out_in_cell_order(self, monkeypatch):
+        # each failing kernel raises inside a pool thread; the sweep raises
+        # the error of the first failing cell in (pair, gap) order, even
+        # when a later cell fails sooner
+        monkeypatch.setattr(gpn, "_usable_cpus", lambda: 4)
+
+        def failing(error, delay=0.0):
+            def psi(t):
+                time.sleep(delay)
+                raise error("kernel failed")
+
+            return Estimator("failing", 1, ProblemKind.LOCATION, psi)
+
+        ref = resolve_estimator(ANCHOR_NORMAL, 1, "pnlee")
+        ok = (resolve_estimator(ANCHOR_NORMAL, 1, "rmle"), ref)
+        for pairs, expected in [
+            ([ok, (failing(FloatingPointError), ref)], FloatingPointError),
+            ([(failing(ZeroDivisionError, delay=0.2), ref), (failing(KeyError), ref)],
+             ZeroDivisionError),
+        ]:
+            with pytest.raises(expected):
+                gpn_sweep(ANCHOR_NORMAL, pairs, [0.0, 1.0], LOC_ABS, n_samples=2 ** 15)
 
     def test_cell_seeds_distinct(self):
         seeds = {derive_cell_seed(42, i, j) for i in range(4) for j in range(8)}

@@ -16,7 +16,7 @@ from pitnear.models import (
     model_from_config,
 )
 from pitnear.quadrature import adaptive_quadrature
-from pitnear.specfun import gamma_median, regularized_gamma_p
+from pitnear.specfun import gamma_median, gammaln, regularized_gamma_p
 
 LN2 = math.log(2.0)
 
@@ -26,6 +26,18 @@ GAMMA = GammaScale(1.0, 1.0)
 POWER = PowerScale(1.0, 1.0)
 
 ALL_MODELS = [NORMAL, EXP, GAMMA, POWER]
+
+# Sampling checks. Scales are not powers of two, so a reassociated product
+# rounds differently; the power shapes take numpy's square-root, square and
+# identity power paths and a general exponent.
+SAMPLING_MODELS = [
+    BivariateNormal(2.3, 0.7, -0.6),
+    ExponentialLocation(0.3, 1.7),
+    GammaScale(0.5, 0.2),
+    GammaScale(30.0, 1.0),
+    PowerScale(2.0, 0.5),
+    PowerScale(1.0, 0.7),
+]
 
 
 def grid_for(model):
@@ -64,6 +76,13 @@ class TestSpecValidation:
                 cls(0.0, 1.0)
         with pytest.raises(DomainError):
             ExponentialLocation(1.0, -2.0)
+
+    def test_gamma_shape_sum_ceiling(self):
+        assert GammaScale(250.0, 250.0).pooled_median == pytest.approx(500.0 - 1.0 / 3.0, abs=1e-3)
+        with pytest.raises(DomainError, match="at most 500"):
+            GammaScale(250.0, 250.5)
+        with pytest.raises(ConfigError, match="at most 500"):
+            model_from_config({"name": "gamma", "alpha1": 300, "alpha2": 300})
 
     def test_derived_mixing_coefficient(self):
         m = BivariateNormal(3.0, 0.5, -0.9)
@@ -180,6 +199,97 @@ class TestCondCdf:
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
+# ---------------------------------------------------------------------------
+# the contrast density from its defining one-dimensional integral: the
+# reference that the closed forms are checked against
+# ---------------------------------------------------------------------------
+
+
+def _normal_joint_pdf(model, z1, z2):
+    s1, s2, rho = model.sigma1, model.sigma2, model.rho
+    q = (
+        (z1 / s1) ** 2
+        - 2.0 * rho * z1 * z2 / (s1 * s2)
+        + (z2 / s2) ** 2
+    ) / (1.0 - rho ** 2)
+    return np.exp(-0.5 * q) / (2.0 * math.pi * s1 * s2 * math.sqrt(1.0 - rho ** 2))
+
+
+def _normal_d_integrand(model, lam, t):
+    c = t - lam
+    center = -(1.0 - model.alpha) * c
+    width = 12.0 * model.cond_sd
+    return center - width, center + width, lambda y: _normal_joint_pdf(model, y, y + c)
+
+
+def _exponential_d_integrand(model, lam, t):
+    c = t - lam
+    y0 = max(-c, 0.0)
+    norm = 1.0 / (model.sigma1 * model.sigma2)
+
+    def integrand(y):
+        z2 = y + c
+        good = (y >= y0) & (z2 >= 0.0)
+        val = norm * np.exp(-y / model.sigma1 - np.maximum(z2, 0.0) / model.sigma2)
+        return np.where(good, val, 0.0)
+
+    return y0, y0 + 50.0 / model.rate, integrand
+
+
+def _gamma_d_integrand(model, lam, t):
+    a1, a2 = model.alpha1, model.alpha2
+    lognorm = gammaln(a1) + gammaln(a2)
+    rate = 1.0 + t / lam
+
+    def integrand(y):
+        y = np.maximum(y, 1e-300)
+        logv = (
+            (a1 + a2 - 1.0) * np.log(y)
+            - rate * y
+            + (a2 - 1.0) * math.log(t / lam)
+            - math.log(lam)
+            - lognorm
+        )
+        return np.exp(logv)
+
+    mean = (a1 + a2) / rate
+    sd = math.sqrt(a1 + a2) / rate
+    return 0.0, mean + 40.0 * sd + 40.0 / rate, integrand
+
+
+def _power_d_integrand(model, lam, t):
+    a1, a2 = model.alpha1, model.alpha2
+    hi = min(1.0, lam / t)
+
+    def integrand(y):
+        y = np.maximum(y, 1e-300)
+        z2 = y * t / lam
+        val = (a1 * a2 / lam) * y ** a1 * z2 ** (a2 - 1.0)
+        return np.where((y < 1.0) & (z2 < 1.0), val, 0.0)
+
+    return 0.0, hi, integrand
+
+
+_D_INTEGRANDS = {
+    BivariateNormal: _normal_d_integrand,
+    ExponentialLocation: _exponential_d_integrand,
+    GammaScale: _gamma_d_integrand,
+    PowerScale: _power_d_integrand,
+}
+
+
+def d_density_integral(model, lam, t, rel_tol=1e-9):
+    """Contrast density at t from its defining integral over the first
+    pivot, by adaptive quadrature.
+    """
+    model._check_lambda(lam)
+    model._check_t(t)
+    lo, hi, integrand = _D_INTEGRANDS[type(model)](model, lam, float(t))
+    return adaptive_quadrature(
+        integrand, lo, hi, abs_tol=0.0, rel_tol=rel_tol, max_panels=4000
+    )
+
+
 class TestContrastDensity:
     def test_normal_mode_anchor(self):
         m = BivariateNormal(0.6, 0.8, 0.0)  # tau = 1
@@ -204,7 +314,7 @@ class TestContrastDensity:
         for lam in lams[:3]:
             for t in ts:
                 closed = model.d_density(lam, t)
-                quad = model.d_density_integral(lam, t, rel_tol=1e-9)
+                quad = d_density_integral(model, lam, t, rel_tol=1e-9)
                 assert quad == pytest.approx(closed, rel=5e-9, abs=1e-300)
 
     @pytest.mark.parametrize(
@@ -327,6 +437,55 @@ class TestSampling:
     def test_scale_params_must_be_positive(self):
         with pytest.raises(DomainError):
             GAMMA.sample(RestrictedParams(0.0, 1.0), np.random.default_rng(9), 8)
+
+    @pytest.mark.parametrize("model", SAMPLING_MODELS, ids=repr)
+    @pytest.mark.parametrize("size", [1, 7, 2 ** 14 - 1, 2 ** 14 + 1, 3 * 2 ** 14 + 5])
+    def test_in_place_sampling_is_bitwise_the_expression(self, model, size):
+        # sample builds x1 and x2 in place (and blockwise for the normal
+        # pair); the bits must equal the plain expression on the same draws
+        params = _sampling_params(model)
+        x1, x2 = model.sample(params, np.random.default_rng(31), size)
+        e1, e2 = _expression_sample(model, params, np.random.default_rng(31), size)
+        assert x1.dtype == np.float64 and x1.shape == (size,)
+        assert np.array_equal(x1, e1) and np.array_equal(x2, e2)
+
+    @pytest.mark.parametrize("model", SAMPLING_MODELS, ids=repr)
+    def test_scalar_sampling_is_bitwise_the_expression(self, model):
+        params = _sampling_params(model)
+        for seed in range(200):
+            obs = model.sample(params, np.random.default_rng(seed))
+            assert type(obs.x1) is float and type(obs.x2) is float
+            e1, e2 = _expression_sample(model, params, np.random.default_rng(seed), None)
+            assert (obs.x1, obs.x2) == (e1, e2)
+
+
+def _sampling_params(model):
+    if model.kind is ProblemKind.LOCATION:
+        return RestrictedParams(-1.3, 2.7)
+    return RestrictedParams(0.8, 2.5)
+
+
+def _expression_sample(model, params, rng, size):
+    """Each model's draws as one expression per component, in the order and
+    association that in-place sampling must reproduce bit for bit.
+    """
+    t1, t2 = params.theta1, params.theta2
+    if isinstance(model, BivariateNormal):
+        z1 = rng.standard_normal(size)
+        z2 = rng.standard_normal(size)
+        x2 = t2 + model.sigma2 * (model.rho * z1 + math.sqrt(1.0 - model.rho ** 2) * z2)
+        return t1 + model.sigma1 * z1, x2
+    if isinstance(model, ExponentialLocation):
+        u1 = rng.random(size)
+        u2 = rng.random(size)
+        return t1 - model.sigma1 * np.log1p(-u1), t2 - model.sigma2 * np.log1p(-u2)
+    if isinstance(model, GammaScale):
+        z1 = rng.standard_gamma(model.alpha1, size)
+        z2 = rng.standard_gamma(model.alpha2, size)
+        return t1 * z1, t2 * z2
+    u1 = rng.random(size)
+    u2 = rng.random(size)
+    return t1 * u1 ** (1.0 / model.alpha1), t2 * u2 ** (1.0 / model.alpha2)
 
 
 @pytest.mark.parametrize(
