@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .estimators import LossFn, resolve_estimator
-from .gpn import SweepCell, derive_cell_seed, gpn_sweep
+from .gpn import ComparisonTask, _run_tasks, _sweep_tasks, derive_cell_seed
 from .models import BivariateNormal, GammaScale, ProblemKind, finite_number, model_from_config
 
 __all__ = ["main", "run_table", "run_config_file", "TABLES", "TableSpec"]
@@ -127,25 +127,6 @@ def _config_label(values: Sequence[float]) -> str:
     return "(" + ",".join(f"{v:g}" for v in values) + ")"
 
 
-def _csv_text(rows: list[tuple[str, SweepCell]], with_oracle: bool) -> str:
-    header = ["pair", "gap", "gpn", "std_error", "tie_fraction", "n", "seed"]
-    if with_oracle:
-        header.append("oracle")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for label, cell in rows:
-        r = cell.result
-        row = [
-            label, repr(cell.gap), repr(r.estimate), repr(r.std_error),
-            repr(r.tie_fraction), r.n_samples, r.seed,
-        ]
-        if with_oracle:
-            row.append(repr(cell.oracle))
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
     widths = [len(h) for h in header]
     for row in rows:
@@ -175,7 +156,7 @@ def run_table(
 
 
 # Largest accepted n_samples. A cell holds all its draws at once: table 4
-# peaks at 91 MB RSS with 10**6 draws per cell, so 10**7 stays under 1 GB.
+# peaks at 70 MB RSS with 10**6 draws per cell, so 10**7 stays under 1 GB.
 MAX_SAMPLES = 10**7
 
 _CONFIG_FIELDS = {
@@ -259,11 +240,6 @@ def _validate_config(cfg: dict) -> dict:
     gaps = [finite_number(g, "each gap") for g in gaps]
     pairs = _parse_pairs(cfg["pairs"])
     model = model_from_config(cfg["model"])
-    if model.kind is ProblemKind.LOCATION:
-        if any(g < 0.0 for g in gaps):
-            raise ConfigError("location gaps must be >= 0")
-    elif any(g < 1.0 for g in gaps):
-        raise ConfigError("scale gaps must be >= 1")
     try:
         loss = LossFn.from_name(cfg["loss"])
     except UnsupportedCaseError as e:
@@ -273,91 +249,63 @@ def _validate_config(cfg: dict) -> dict:
             f"loss {loss.name!r} does not fit the {model.kind.value} model "
             f"{type(model).__name__}"
         )
-    # last: resolving builds the model's catalog, the costliest check
-    pairs = _resolve_pairs(model, component, pairs)
-    out.update(model=model, component=component, pairs=pairs, gaps=gaps, loss=loss)
+    # last: resolving builds the model's catalog, the costliest check, and
+    # building the cells checks each gap against the model's domain
+    tasks = _cell_tasks(model, component, pairs, gaps, loss, out["n_samples"], out["seed"])
+    out.update(model=model, component=component, gaps=gaps, loss=loss, tasks=tasks)
     return out
 
 
-def _resolve_pairs(model, component: int, pairs) -> list[tuple]:
-    """Look up the estimators of named (candidate, reference, nu) pairs. An
-    unknown name stays an UnknownEstimatorError; a missing nu, or one
-    outside the family's range, is a config value error.
+# A run laid out as columns over a gap grid: the title, the gaps, each
+# column's (markdown heading, CSV pair) labels, and every cell's task,
+# column by column.
+_Columns = tuple[str, Sequence[float], list[tuple[str, str]], list[ComparisonTask]]
+
+
+def _cell_tasks(
+    model, component: int, pairs, gaps, loss: LossFn, n_samples: int, seed: int
+) -> list[ComparisonTask]:
+    """The (pair, gap) cells of named (candidate, reference, nu) pairs, on
+    seeds derived from the base seed. An unknown name stays an
+    UnknownEstimatorError; a missing nu, one outside the family's range, or
+    a gap outside the model's domain is a config value error.
     """
     try:
-        return [
+        resolved = [
             (
                 resolve_estimator(model, component, cand, nu),
                 resolve_estimator(model, component, ref, nu),
             )
             for cand, ref, nu in pairs
         ]
+        return _sweep_tasks(model, resolved, gaps, loss, n_samples, seed)
     except UnknownEstimatorError:
         raise
     except (UnsupportedCaseError, DomainError) as e:
         raise ConfigError(str(e)) from None
 
 
-def _sweep(cfg: dict) -> list[SweepCell]:
-    """Run the resolved pairs of a validated sweep config over its gaps."""
-    return gpn_sweep(
-        cfg["model"],
-        cfg["pairs"],
-        cfg["gaps"],
-        cfg["loss"],
-        n_samples=cfg["n_samples"],
-        base_seed=cfg["seed"],
-        oracle=cfg["oracle"],
-    )
-
-
-def _render_table(cfg: dict) -> str:
-    # Each column is a one-pair sweep on its own derived base seed.
-    table_id, oracle = cfg["table"], cfg["oracle"]
+def _table_columns(cfg: dict) -> _Columns:
+    """The columns of a built-in table: one per model configuration, each a
+    one-pair sweep on its own derived base seed.
+    """
+    table_id = cfg["table"]
     spec = TABLES[table_id]
     loss = LossFn.from_name(spec.loss)
-    columns: list[tuple[str, list[SweepCell]]] = []
+    pair = f"{spec.candidate}/{spec.reference}"
+    labels, tasks = [], []
     for col, config in enumerate(spec.configs):
-        model = spec.model_cls(*config)
-        column = dict(
-            cfg,
-            model=model,
-            component=spec.component,
-            pairs=_resolve_pairs(
-                model, spec.component, [(spec.candidate, spec.reference, None)]
-            ),
-            gaps=spec.gaps,
-            loss=loss,
-            seed=derive_cell_seed(cfg["seed"], table_id, col),
+        label = _config_label(config)
+        labels.append((label, f"{pair}@{label}"))
+        tasks += _cell_tasks(
+            spec.model_cls(*config), spec.component, [(spec.candidate, spec.reference, None)],
+            spec.gaps, loss, cfg["n_samples"], derive_cell_seed(cfg["seed"], table_id, col),
         )
-        columns.append((_config_label(config), _sweep(column)))
-
-    if cfg["output"] == "csv":
-        rows = [
-            (f"{spec.candidate}/{spec.reference}@{label}", cell)
-            for label, cells in columns
-            for cell in cells
-        ]
-        return _csv_text(rows, oracle)
-
     title = (
         f"# table {table_id}: {spec.candidate} vs {spec.reference} "
         f"({spec.title}); loss={spec.loss}, n={cfg['n_samples']}, seed={cfg['seed']}"
     )
-    header = ["gap"]
-    for label, _ in columns:
-        header.append(label)
-        if oracle:
-            header.append(label + " oracle")
-    body = []
-    for i, gap in enumerate(spec.gaps):
-        row = [f"{gap:g}"]
-        for _, cells in columns:
-            row.append(f"{cells[i].result.estimate:.3f}")
-            if oracle:
-                row.append(f"{cells[i].oracle:.3f}")
-        body.append(row)
-    return "\n".join([title, ""] + _md_table(header, body)) + "\n"
+    return title, spec.gaps, labels, tasks
 
 
 def _model_label(model) -> str:
@@ -366,43 +314,73 @@ def _model_label(model) -> str:
     return f"{type(model).__name__}({inner})"
 
 
-def _render_sweep(cfg: dict) -> str:
-    cells = _sweep(cfg)
-    if cfg["output"] == "csv":
-        rows = [(f"{c.candidate_name}/{c.reference_name}", c) for c in cells]
-        return _csv_text(rows, cfg["oracle"])
-
-    # gpn_sweep returns the cells pair by pair, each pair over all gaps
-    n_gaps = len(cfg["gaps"])
-    columns = [cells[i:i + n_gaps] for i in range(0, len(cells), n_gaps)]
+def _sweep_columns(cfg: dict) -> _Columns:
+    """The columns of a validated custom sweep: one per pair, its cells
+    pair by pair over all gaps.
+    """
+    tasks = cfg["tasks"]
+    names = [f"{t.candidate.name}/{t.reference.name}" for t in tasks[::len(cfg["gaps"])]]
     title = (
         f"# {_model_label(cfg['model'])}, component={cfg['component']}, "
         f"loss={cfg['loss'].name}, n={cfg['n_samples']}, seed={cfg['seed']}"
     )
+    return title, cfg["gaps"], [(name, name) for name in names], tasks
+
+
+def _render(cfg: dict, title: str, gaps, labels, cells) -> str:
+    """A run's cells, column by column over the gaps, as CSV or as a
+    markdown table. A custom sweep's markdown shows each estimate's
+    standard error as well; a table's does not.
+    """
+    oracle, n_gaps = cfg["oracle"], len(gaps)
+    if cfg["output"] == "csv":
+        header = ["pair", "gap", "gpn", "std_error", "tie_fraction", "n", "seed"]
+        if oracle:
+            header.append("oracle")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for k, (r, value) in enumerate(cells):
+            col, i = divmod(k, n_gaps)
+            row = [
+                labels[col][1], repr(gaps[i]), repr(r.estimate), repr(r.std_error),
+                repr(r.tie_fraction), r.n_samples, r.seed,
+            ]
+            if oracle:
+                row.append(repr(value))
+            writer.writerow(row)
+        return buf.getvalue()
+
+    se = "table" not in cfg
     header = ["gap"]
-    for column in columns:
-        label = f"{column[0].candidate_name}/{column[0].reference_name}"
-        header += [label, "se"]
-        if cfg["oracle"]:
-            header.append(label + " oracle")
+    for heading, _ in labels:
+        header.append(heading)
+        if se:
+            header.append("se")
+        if oracle:
+            header.append(heading + " oracle")
     body = []
-    for i, gap in enumerate(cfg["gaps"]):
+    for i, gap in enumerate(gaps):
         row = [f"{gap:g}"]
-        for column in columns:
-            cell = column[i]
-            row += [f"{cell.result.estimate:.3f}", f"{cell.result.std_error:.4f}"]
-            if cfg["oracle"]:
-                row.append(f"{cell.oracle:.3f}")
+        for col in range(len(labels)):
+            r, value = cells[col * n_gaps + i]
+            row.append(f"{r.estimate:.3f}")
+            if se:
+                row.append(f"{r.std_error:.4f}")
+            if oracle:
+                row.append(f"{value:.3f}")
         body.append(row)
     return "\n".join([title, ""] + _md_table(header, body)) + "\n"
 
 
 def run_config_dict(cfg: dict) -> str:
-    """Validate and execute a config mapping; returns the rendered text."""
+    """Validate and execute a config mapping; returns the rendered text. All
+    cells of the run go through one pool.
+    """
     cfg = _validate_config(cfg)
-    if "table" in cfg:
-        return _render_table(cfg)
-    return _render_sweep(cfg)
+    columns = _table_columns if "table" in cfg else _sweep_columns
+    title, gaps, labels, tasks = columns(cfg)
+    return _render(cfg, title, gaps, labels, _run_tasks(tasks, cfg["oracle"]))
 
 
 def _load_config(path: str | Path) -> dict:

@@ -31,6 +31,7 @@ from .models import (
     ModelSpec,
     PowerScale,
     ProblemKind,
+    _LN2,
 )
 from .specfun import gamma_median
 
@@ -48,8 +49,6 @@ __all__ = [
     "resolve_estimator",
     "estimator_names",
 ]
-
-_LN2 = math.log(2.0)
 
 
 class LossKind(Enum):
@@ -163,15 +162,25 @@ def _check_band(bounds: ClampBounds, kind: ProblemKind) -> None:
         raise DomainError("clamp bounds must satisfy l(t) <= u(t)")
 
 
-def clamp_location(base: Estimator, bounds: ClampBounds) -> Estimator:
-    """Project a location kernel onto [l(t), u(t)]."""
-    if base.kind is not ProblemKind.LOCATION:
-        raise KindMismatchError(f"{base.name} is not a location estimator")
-    _check_band(bounds, ProblemKind.LOCATION)
+def _reciprocal(x):
+    """1/x with the clamp conventions 1/0+ = +inf and 1/inf = 0."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(x == 0.0, np.inf, 1.0 / x)
+
+
+def _clamp(base: Estimator, bounds: ClampBounds, kind: ProblemKind, band) -> Estimator:
+    """Project a kernel of the given kind onto the band that band(t) returns
+    as the pair (lo, hi).
+    """
+    if base.kind is not kind:
+        raise KindMismatchError(f"{base.name} is not a {kind.value} estimator")
+    _check_band(bounds, kind)
     psi = base.psi
 
     def clamped(t):
-        return np.maximum(bounds.lower(t), np.minimum(psi(t), bounds.upper(t)))
+        lo, hi = band(t)
+        return np.maximum(lo, np.minimum(psi(t), hi))
 
     return Estimator(
         name=base.name + "_star",
@@ -182,31 +191,18 @@ def clamp_location(base: Estimator, bounds: ClampBounds) -> Estimator:
     )
 
 
-def _reciprocal(x):
-    """1/x with the clamp conventions 1/0+ = +inf and 1/inf = 0."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.where(x == 0.0, np.inf, 1.0 / x)
+def clamp_location(base: Estimator, bounds: ClampBounds) -> Estimator:
+    """Project a location kernel onto [l(t), u(t)]."""
+    return _clamp(
+        base, bounds, ProblemKind.LOCATION, lambda t: (bounds.lower(t), bounds.upper(t))
+    )
 
 
 def clamp_scale(base: Estimator, bounds: ClampBounds) -> Estimator:
     """Project a scale kernel onto [1/u(t), 1/l(t)]."""
-    if base.kind is not ProblemKind.SCALE:
-        raise KindMismatchError(f"{base.name} is not a scale estimator")
-    _check_band(bounds, ProblemKind.SCALE)
-    psi = base.psi
-
-    def clamped(t):
-        lo = _reciprocal(bounds.upper(t))
-        hi = _reciprocal(bounds.lower(t))
-        return np.maximum(lo, np.minimum(psi(t), hi))
-
-    return Estimator(
-        name=base.name + "_star",
-        target=base.target,
-        kind=base.kind,
-        psi=clamped,
-        breakpoints=tuple(sorted({*base.breakpoints, *bounds.breakpoints})),
+    return _clamp(
+        base, bounds, ProblemKind.SCALE,
+        lambda t: (_reciprocal(bounds.upper(t)), _reciprocal(bounds.lower(t))),
     )
 
 

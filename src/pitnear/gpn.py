@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -237,29 +238,19 @@ def _pinned_params(kind: ProblemKind, gap: float) -> RestrictedParams:
     return RestrictedParams(1.0, gap)
 
 
-def gpn_sweep(
+def _sweep_tasks(
     model: ModelSpec,
     pairs: Sequence[tuple[Estimator, Estimator]],
-    gaps: Iterable[float],
+    gaps: Sequence[float],
     loss: LossFn,
-    n_samples: int = 10000,
-    base_seed: int = 42,
-    oracle: bool = False,
-) -> list[SweepCell]:
-    """Monte Carlo GPN for every (pair, gap) cell, each on its own derived
-    seed; rows come back in the given (pair, gap) order.
-
-    The Monte Carlo cells run on a pool of one thread per usable CPU (numpy
-    releases the GIL while it draws and computes), and each cell owns its
-    generator, so the results do not depend on the thread count. The
-    calling thread collects the cells in order and computes each oracle
-    value as its cell arrives, so the first error raised is the one a serial
-    loop would raise. Gaps are checked before any cell starts.
+    n_samples: int,
+    base_seed: int,
+) -> list[ComparisonTask]:
+    """The (pair, gap) cells of a sweep in that order, each on the seed
+    derived from its indices. A gap outside the model's domain raises here,
+    before any cell runs.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    gaps = [float(gap) for gap in gaps]
-    tasks = [
+    return [
         ComparisonTask(
             model=model,
             params=_pinned_params(model.kind, gap),
@@ -272,29 +263,58 @@ def gpn_sweep(
         for i, (candidate, reference) in enumerate(pairs)
         for j, gap in enumerate(gaps)
     ]
+
+
+def _run_tasks(
+    tasks: Sequence[ComparisonTask], oracle: bool = False
+) -> list[tuple[GpnResult, Optional[float]]]:
+    """Monte Carlo GPN of every task, with its oracle value when asked, in
+    task order.
+
+    The Monte Carlo cells run on one pool of one thread per usable CPU
+    (numpy releases the GIL while it draws and computes), and each cell owns
+    its generator, so the results do not depend on the thread count. The
+    calling thread collects the cells in order and computes each oracle
+    value as its cell arrives, so the first error raised is the one a serial
+    loop would raise; any error cancels the cells not yet started.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
     if not tasks:
         return []
-    cells: list[SweepCell] = []
+    out = []
     with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(tasks))) as pool:
         try:
             futures = [pool.submit(gpn_monte_carlo, task) for task in tasks]
-            for k, (task, future) in enumerate(zip(tasks, futures)):
+            for task, future in zip(tasks, futures):
                 result = future.result()
-                i, j = divmod(k, len(gaps))
-                cells.append(
-                    SweepCell(
-                        pair_index=i,
-                        candidate_name=task.candidate.name,
-                        reference_name=task.reference.name,
-                        gap=gaps[j],
-                        result=result,
-                        oracle=gpn_oracle(task) if oracle else None,
-                    )
-                )
+                out.append((result, gpn_oracle(task) if oracle else None))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    return cells
+    return out
+
+
+def gpn_sweep(
+    model: ModelSpec,
+    pairs: Sequence[tuple[Estimator, Estimator]],
+    gaps: Iterable[float],
+    loss: LossFn,
+    n_samples: int = 10000,
+    base_seed: int = 42,
+    oracle: bool = False,
+) -> list[SweepCell]:
+    """Monte Carlo GPN for every (pair, gap) cell, each on its own derived
+    seed; rows come back in the given (pair, gap) order. Gaps are checked
+    before any cell starts.
+    """
+    gaps = [float(gap) for gap in gaps]
+    tasks = _sweep_tasks(model, pairs, gaps, loss, n_samples, base_seed)
+    cells = zip(product(range(len(pairs)), gaps), tasks, _run_tasks(tasks, oracle))
+    return [
+        SweepCell(i, task.candidate.name, task.reference.name, gap, result, value)
+        for (i, gap), task, (result, value) in cells
+    ]
 
 
 def _usable_cpus() -> int:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pitnear import gpn
 from pitnear.cli import TABLES, main, run_config_dict, run_table
 from pitnear.errors import ConfigError, UnknownEstimatorError
 
@@ -484,11 +486,42 @@ GOLDEN = [
          f"table{t}_n100000_seed3.csv")
         for t in (1, 4)
     ),
+    (["run", str(DATA / "run_gamma_oracle.json"), "--out", "csv"], "run_gamma_oracle.csv"),
+    (["run", str(DATA / "run_normal_nu.json")], "run_normal_nu.md"),
+    (["table", "2", "--samples", "2000", "--oracle", "--out", "csv"],
+     "table2_n2000_oracle.csv"),
+]
+
+# A table's cells run on one pool across all its columns; the bytes must not
+# depend on how many threads that pool has.
+THREAD_COUNTS = [
+    (["table", "4", "--samples", "2000", "--seed", "3", "--out", "csv"],
+     "table4_n2000_seed3.csv", cpus)
+    for cpus in (1, 5)
 ]
 
 
-@pytest.mark.parametrize("args, golden", GOLDEN, ids=[g for _, g in GOLDEN])
-def test_stdout_matches_golden(args, golden):
+@pytest.mark.parametrize(
+    "args, golden, cpus",
+    [(args, golden, None) for args, golden in GOLDEN] + THREAD_COUNTS,
+    ids=[g for _, g in GOLDEN] + [f"{g}-cpus{n}" for _, g, n in THREAD_COUNTS],
+)
+def test_stdout_matches_golden(monkeypatch, args, golden, cpus):
+    if cpus is not None:
+        monkeypatch.setattr(gpn, "_usable_cpus", lambda: cpus)
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == (DATA / golden).read_bytes()
+
+
+def test_table_runs_on_one_pool(monkeypatch):
+    pools = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    run_table(4, n_samples=500, seed=1, oracle=True)
+    assert len(pools) == 1
