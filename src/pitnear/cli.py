@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,10 +27,10 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .estimators import LossFn, resolve_estimator
-from .gpn import ComparisonTask, _run_tasks, _sweep_tasks, derive_cell_seed
+from .gpn import ComparisonTask, _pair_tasks, _run_tasks, derive_cell_seed
 from .models import BivariateNormal, GammaScale, ProblemKind, finite_number, model_from_config
 
-__all__ = ["main", "run_table", "run_config_file", "TABLES", "TableSpec"]
+__all__ = ["main", "run_table", "TABLES", "TableSpec"]
 
 
 @dataclass(frozen=True)
@@ -171,8 +172,10 @@ def _is_int(value) -> bool:
 
 
 def _parse_pairs(raw) -> list[tuple[str, str, Optional[float]]]:
-    if not isinstance(raw, list) or not all(isinstance(p, list) for p in raw):
-        raise ConfigError("field 'pairs' must be a list of [candidate, reference] lists")
+    if not isinstance(raw, list) or not raw or not all(isinstance(p, list) for p in raw):
+        raise ConfigError(
+            "field 'pairs' must be a non-empty list of [candidate, reference] lists"
+        )
     pairs = []
     for p in raw:
         if len(p) == 2:
@@ -191,9 +194,49 @@ def _parse_pairs(raw) -> list[tuple[str, str, Optional[float]]]:
     return pairs
 
 
-def _validate_config(cfg: dict) -> dict:
-    """Check a config against the schema. Returns it with defaults filled in
-    and, for a custom sweep, with the model and loss built.
+@dataclass(frozen=True)
+class _Column:
+    """A run's column: markdown heading, CSV pair label, one cell per gap."""
+
+    heading: str
+    pair: str
+    tasks: tuple[ComparisonTask, ...]
+
+
+@dataclass(frozen=True)
+class _RunPlan:
+    """A validated config: its cells, column by column, and how to print them.
+    Only a custom sweep's markdown shows each estimate's standard error.
+    """
+
+    title: str
+    gaps: tuple[float, ...]
+    columns: tuple[_Column, ...]
+    oracle: bool
+    output: str
+    show_se: bool
+
+
+def _column(model, pair, gaps, loss, n_samples, base_seed, index, heading) -> _Column:
+    """A resolved (candidate, reference) pair over the gaps. A table column
+    is headed by its model configuration, a sweep column by its pair.
+    """
+    candidate, reference = pair
+    name = f"{candidate.name}/{reference.name}"
+    tasks = _pair_tasks(model, candidate, reference, gaps, loss, n_samples, base_seed, index)
+    return _Column(heading or name, f"{name}@{heading}" if heading else name, tasks)
+
+
+def _model_label(model) -> str:
+    # dataclass fields only: cached properties are not part of the model spec
+    inner = ",".join(f"{f.name}={getattr(model, f.name):g}" for f in fields(model))
+    return f"{type(model).__name__}({inner})"
+
+
+def _validate_config(cfg: dict) -> _RunPlan:
+    """Check a config against the schema and build its run plan. A table has
+    one column per model configuration, each a one-pair sweep on its own
+    derived base seed; a custom sweep has one column per pair.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -208,179 +251,133 @@ def _validate_config(cfg: dict) -> dict:
         for field in ("model", "component", "pairs", "gaps", "loss"):
             if field not in cfg:
                 raise ConfigError(f"custom sweep config missing field '{field}'")
-    out = {
-        "n_samples": cfg.get("n_samples", 10000),
-        "seed": cfg.get("seed", 42),
-        "oracle": cfg.get("oracle", False),
-        "output": cfg.get("output", "md"),
-    }
-    if out["output"] not in ("csv", "md"):
-        raise ConfigError(f"field 'output' must be 'csv' or 'md', got {out['output']!r}")
-    if not _is_int(out["n_samples"]) or not 1 <= out["n_samples"] <= MAX_SAMPLES:
+    n_samples = cfg.get("n_samples", 10000)
+    seed = cfg.get("seed", 42)
+    oracle = cfg.get("oracle", False)
+    output = cfg.get("output", "md")
+    if output not in ("csv", "md"):
+        raise ConfigError(f"field 'output' must be 'csv' or 'md', got {output!r}")
+    if not _is_int(n_samples) or not 1 <= n_samples <= MAX_SAMPLES:
         raise ConfigError(
-            f"field 'n_samples' must be an integer in 1..{MAX_SAMPLES}, "
-            f"got {out['n_samples']!r}"
+            f"field 'n_samples' must be an integer in 1..{MAX_SAMPLES}, got {n_samples!r}"
         )
-    if not _is_int(out["seed"]):
-        raise ConfigError(f"field 'seed' must be an integer, got {out['seed']!r}")
-    if not isinstance(out["oracle"], bool):
-        raise ConfigError(f"field 'oracle' must be true or false, got {out['oracle']!r}")
+    if not _is_int(seed):
+        raise ConfigError(f"field 'seed' must be an integer, got {seed!r}")
+    if not isinstance(oracle, bool):
+        raise ConfigError(f"field 'oracle' must be true or false, got {oracle!r}")
+    # each column as (model, component, (candidate, reference, nu) names,
+    # base seed, pair index, heading of a table column or None)
     if has_table:
         table = cfg["table"]
         if not _is_int(table) or table not in TABLES:
             raise ConfigError(f"field 'table' must be an integer 1..6, got {table!r}")
-        out["table"] = table
-        return out
-    component = cfg["component"]
-    if not _is_int(component) or component not in (1, 2):
-        raise ConfigError(f"field 'component' must be 1 or 2, got {component!r}")
-    gaps = cfg["gaps"]
-    if not isinstance(gaps, list) or not gaps:
-        raise ConfigError("field 'gaps' must be a non-empty list of numbers")
-    gaps = [finite_number(g, "each gap") for g in gaps]
-    pairs = _parse_pairs(cfg["pairs"])
-    model = model_from_config(cfg["model"])
-    try:
-        loss = LossFn.from_name(cfg["loss"])
-    except UnsupportedCaseError as e:
-        raise ConfigError(str(e)) from None
-    if loss.problem_kind is not model.kind:
-        raise ConfigError(
-            f"loss {loss.name!r} does not fit the {model.kind.value} model "
-            f"{type(model).__name__}"
+        spec = TABLES[table]
+        gaps, loss = spec.gaps, LossFn.from_name(spec.loss)
+        title = (
+            f"# table {table}: {spec.candidate} vs {spec.reference} "
+            f"({spec.title}); loss={spec.loss}, n={n_samples}, seed={seed}"
         )
-    # last: resolving builds the model's catalog, the costliest check, and
-    # building the cells checks each gap against the model's domain
-    tasks = _cell_tasks(model, component, pairs, gaps, loss, out["n_samples"], out["seed"])
-    out.update(model=model, component=component, gaps=gaps, loss=loss, tasks=tasks)
-    return out
-
-
-# A run laid out as columns over a gap grid: the title, the gaps, each
-# column's (markdown heading, CSV pair) labels, and every cell's task,
-# column by column.
-_Columns = tuple[str, Sequence[float], list[tuple[str, str]], list[ComparisonTask]]
-
-
-def _cell_tasks(
-    model, component: int, pairs, gaps, loss: LossFn, n_samples: int, seed: int
-) -> list[ComparisonTask]:
-    """The (pair, gap) cells of named (candidate, reference, nu) pairs, on
-    seeds derived from the base seed. An unknown name stays an
-    UnknownEstimatorError; a missing nu, one outside the family's range, or
-    a gap outside the model's domain is a config value error.
-    """
+        specs = [
+            (spec.model_cls(*config), spec.component, (spec.candidate, spec.reference, None),
+             derive_cell_seed(seed, table, col), 0, _config_label(config))
+            for col, config in enumerate(spec.configs)
+        ]
+    else:
+        component = cfg["component"]
+        if not _is_int(component) or component not in (1, 2):
+            raise ConfigError(f"field 'component' must be 1 or 2, got {component!r}")
+        gaps = cfg["gaps"]
+        if not isinstance(gaps, list) or not gaps:
+            raise ConfigError("field 'gaps' must be a non-empty list of numbers")
+        gaps = tuple(finite_number(g, "each gap") for g in gaps)
+        pairs = _parse_pairs(cfg["pairs"])
+        model = model_from_config(cfg["model"])
+        try:
+            loss = LossFn.from_name(cfg["loss"])
+        except UnsupportedCaseError as e:
+            raise ConfigError(str(e)) from None
+        if loss.problem_kind is not model.kind:
+            raise ConfigError(
+                f"loss {loss.name!r} does not fit the {model.kind.value} model "
+                f"{type(model).__name__}"
+            )
+        title = (
+            f"# {_model_label(model)}, component={component}, "
+            f"loss={loss.name}, n={n_samples}, seed={seed}"
+        )
+        specs = [(model, component, pair, seed, i, None) for i, pair in enumerate(pairs)]
+    # last: resolving builds each model's catalog, the costliest check, and
+    # building the cells checks each gap against the model's domain. An
+    # unknown name stays an UnknownEstimatorError; a missing nu, one outside
+    # the family's range, or a gap outside the domain is a config value error.
     try:
         resolved = [
-            (
-                resolve_estimator(model, component, cand, nu),
-                resolve_estimator(model, component, ref, nu),
-            )
-            for cand, ref, nu in pairs
+            (resolve_estimator(model, component, cand, nu),
+             resolve_estimator(model, component, ref, nu))
+            for model, component, (cand, ref, nu), *_ in specs
         ]
-        return _sweep_tasks(model, resolved, gaps, loss, n_samples, seed)
+        columns = tuple(
+            _column(model, pair, gaps, loss, n_samples, base_seed, index, heading)
+            for (model, _, _, base_seed, index, heading), pair in zip(specs, resolved)
+        )
     except UnknownEstimatorError:
         raise
     except (UnsupportedCaseError, DomainError) as e:
         raise ConfigError(str(e)) from None
+    return _RunPlan(title, gaps, columns, oracle, output, show_se=not has_table)
 
 
-def _table_columns(cfg: dict) -> _Columns:
-    """The columns of a built-in table: one per model configuration, each a
-    one-pair sweep on its own derived base seed.
+def _render(plan: _RunPlan, results) -> str:
+    """A run's results, in the plan's cell order, as CSV or as a markdown
+    table with one row per gap.
     """
-    table_id = cfg["table"]
-    spec = TABLES[table_id]
-    loss = LossFn.from_name(spec.loss)
-    pair = f"{spec.candidate}/{spec.reference}"
-    labels, tasks = [], []
-    for col, config in enumerate(spec.configs):
-        label = _config_label(config)
-        labels.append((label, f"{pair}@{label}"))
-        tasks += _cell_tasks(
-            spec.model_cls(*config), spec.component, [(spec.candidate, spec.reference, None)],
-            spec.gaps, loss, cfg["n_samples"], derive_cell_seed(cfg["seed"], table_id, col),
-        )
-    title = (
-        f"# table {table_id}: {spec.candidate} vs {spec.reference} "
-        f"({spec.title}); loss={spec.loss}, n={cfg['n_samples']}, seed={cfg['seed']}"
-    )
-    return title, spec.gaps, labels, tasks
-
-
-def _model_label(model) -> str:
-    # dataclass fields only: cached properties are not part of the model spec
-    inner = ",".join(f"{f.name}={getattr(model, f.name):g}" for f in fields(model))
-    return f"{type(model).__name__}({inner})"
-
-
-def _sweep_columns(cfg: dict) -> _Columns:
-    """The columns of a validated custom sweep: one per pair, its cells
-    pair by pair over all gaps.
-    """
-    tasks = cfg["tasks"]
-    names = [f"{t.candidate.name}/{t.reference.name}" for t in tasks[::len(cfg["gaps"])]]
-    title = (
-        f"# {_model_label(cfg['model'])}, component={cfg['component']}, "
-        f"loss={cfg['loss'].name}, n={cfg['n_samples']}, seed={cfg['seed']}"
-    )
-    return title, cfg["gaps"], [(name, name) for name in names], tasks
-
-
-def _render(cfg: dict, title: str, gaps, labels, cells) -> str:
-    """A run's cells, column by column over the gaps, as CSV or as a
-    markdown table. A custom sweep's markdown shows each estimate's
-    standard error as well; a table's does not.
-    """
-    oracle, n_gaps = cfg["oracle"], len(gaps)
-    if cfg["output"] == "csv":
+    it = iter(results)
+    cells = [list(islice(it, len(column.tasks))) for column in plan.columns]
+    if plan.output == "csv":
         header = ["pair", "gap", "gpn", "std_error", "tie_fraction", "n", "seed"]
-        if oracle:
+        if plan.oracle:
             header.append("oracle")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for k, (r, value) in enumerate(cells):
-            col, i = divmod(k, n_gaps)
-            row = [
-                labels[col][1], repr(gaps[i]), repr(r.estimate), repr(r.std_error),
-                repr(r.tie_fraction), r.n_samples, r.seed,
-            ]
-            if oracle:
-                row.append(repr(value))
-            writer.writerow(row)
+        for column, column_cells in zip(plan.columns, cells):
+            for gap, (r, value) in zip(plan.gaps, column_cells):
+                row = [
+                    column.pair, repr(gap), repr(r.estimate), repr(r.std_error),
+                    repr(r.tie_fraction), r.n_samples, r.seed,
+                ]
+                if plan.oracle:
+                    row.append(repr(value))
+                writer.writerow(row)
         return buf.getvalue()
 
-    se = "table" not in cfg
     header = ["gap"]
-    for heading, _ in labels:
-        header.append(heading)
-        if se:
+    for column in plan.columns:
+        header.append(column.heading)
+        if plan.show_se:
             header.append("se")
-        if oracle:
-            header.append(heading + " oracle")
+        if plan.oracle:
+            header.append(column.heading + " oracle")
     body = []
-    for i, gap in enumerate(gaps):
+    for gap, row_cells in zip(plan.gaps, zip(*cells)):
         row = [f"{gap:g}"]
-        for col in range(len(labels)):
-            r, value = cells[col * n_gaps + i]
+        for r, value in row_cells:
             row.append(f"{r.estimate:.3f}")
-            if se:
+            if plan.show_se:
                 row.append(f"{r.std_error:.4f}")
-            if oracle:
+            if plan.oracle:
                 row.append(f"{value:.3f}")
         body.append(row)
-    return "\n".join([title, ""] + _md_table(header, body)) + "\n"
+    return "\n".join([plan.title, ""] + _md_table(header, body)) + "\n"
 
 
 def run_config_dict(cfg: dict) -> str:
     """Validate and execute a config mapping; returns the rendered text. All
     cells of the run go through one pool.
     """
-    cfg = _validate_config(cfg)
-    columns = _table_columns if "table" in cfg else _sweep_columns
-    title, gaps, labels, tasks = columns(cfg)
-    return _render(cfg, title, gaps, labels, _run_tasks(tasks, cfg["oracle"]))
+    plan = _validate_config(cfg)
+    tasks = [task for column in plan.columns for task in column.tasks]
+    return _render(plan, _run_tasks(tasks, plan.oracle))
 
 
 def _load_config(path: str | Path) -> dict:
@@ -393,14 +390,9 @@ def _load_config(path: str | Path) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
-    if not isinstance(cfg, dict):
+    if not isinstance(cfg, dict):  # before _run writes the options into it
         raise ConfigError("config root must be a JSON object")
     return cfg
-
-
-def run_config_file(path: str | Path) -> str:
-    """Load and execute a JSON run config; returns the rendered text."""
-    return run_config_dict(_load_config(path))
 
 
 def _exit_code(exc: Exception) -> int:
@@ -451,7 +443,11 @@ def _run(load_config, samples, seed, oracle, out, output_file) -> None:
         click.echo(f"error: {e}", err=True)
         sys.exit(_exit_code(e))
     if output_file:
-        Path(output_file).write_text(text, encoding="utf-8")
+        try:
+            Path(output_file).write_text(text, encoding="utf-8")
+        except OSError as e:
+            click.echo(f"error: cannot write output file {output_file}: {e}", err=True)
+            sys.exit(2)
     else:
         click.echo(text, nl=False)
 

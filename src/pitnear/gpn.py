@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .estimators import Estimator, LossFn
-from .models import _BLOCK, ModelSpec, ProblemKind, RestrictedParams
+from .models import _BLOCK, ModelSpec, ProblemKind, RestrictedParams, _check_gap
 from .quadrature import adaptive_quadrature
 
 __all__ = [
@@ -229,28 +229,27 @@ def derive_cell_seed(base_seed: int, pair_index: int, gap_index: int) -> int:
 def _pinned_params(kind: ProblemKind, gap: float) -> RestrictedParams:
     # GPN of equivariant pairs depends on the parameters only through the
     # gap, so one representative point per gap suffices.
+    _check_gap(kind, gap)
     if kind is ProblemKind.LOCATION:
-        if not gap >= 0.0:
-            raise DomainError(f"location gaps must be >= 0, got {gap}")
         return RestrictedParams(0.0, gap)
-    if not gap >= 1.0:
-        raise DomainError(f"scale gaps must be >= 1, got {gap}")
     return RestrictedParams(1.0, gap)
 
 
-def _sweep_tasks(
+def _pair_tasks(
     model: ModelSpec,
-    pairs: Sequence[tuple[Estimator, Estimator]],
+    candidate: Estimator,
+    reference: Estimator,
     gaps: Sequence[float],
     loss: LossFn,
     n_samples: int,
     base_seed: int,
-) -> list[ComparisonTask]:
-    """The (pair, gap) cells of a sweep in that order, each on the seed
-    derived from its indices. A gap outside the model's domain raises here,
-    before any cell runs.
+    pair_index: int,
+) -> tuple[ComparisonTask, ...]:
+    """The cells of one pair over the gaps in order, each on the seed derived
+    from the base seed and its (pair, gap) indices. A gap outside the
+    model's domain raises here, before any cell runs.
     """
-    return [
+    return tuple(
         ComparisonTask(
             model=model,
             params=_pinned_params(model.kind, gap),
@@ -258,11 +257,10 @@ def _sweep_tasks(
             reference=reference,
             loss=loss,
             n_samples=n_samples,
-            seed=derive_cell_seed(base_seed, i, j),
+            seed=derive_cell_seed(base_seed, pair_index, j),
         )
-        for i, (candidate, reference) in enumerate(pairs)
         for j, gap in enumerate(gaps)
-    ]
+    )
 
 
 def _run_tasks(
@@ -309,7 +307,11 @@ def gpn_sweep(
     before any cell starts.
     """
     gaps = [float(gap) for gap in gaps]
-    tasks = _sweep_tasks(model, pairs, gaps, loss, n_samples, base_seed)
+    tasks = [
+        task
+        for i, (candidate, reference) in enumerate(pairs)
+        for task in _pair_tasks(model, candidate, reference, gaps, loss, n_samples, base_seed, i)
+    ]
     cells = zip(product(range(len(pairs)), gaps), tasks, _run_tasks(tasks, oracle))
     return [
         SweepCell(i, task.candidate.name, task.reference.name, gap, result, value)

@@ -129,14 +129,23 @@ def _ratio_segments(lam: float) -> list[QuadSegment]:
     ]
 
 
+def _check_gap(kind: ProblemKind, gap: float) -> None:
+    """The gap domain: a location gap is >= 0 and a scale gap >= 1."""
+    if kind is ProblemKind.LOCATION:
+        if not gap >= 0.0:
+            raise DomainError(f"location gaps must be >= 0, got {gap}")
+    elif not gap >= 1.0:
+        raise DomainError(f"scale gaps must be >= 1, got {gap}")
+
+
 def _float_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
 def _observation(x1: np.ndarray, x2: np.ndarray) -> Observation:
     """The observation that sampling built in place in the arrays of its raw
-    draws; a scalar draw (size=None) was held as a 0-d array and leaves as a
-    Python float.
+    draws; a scalar draw (size=None), held as a 0-d array or a float, leaves
+    as a Python float.
     """
     return Observation(_float_or_array(x1), _float_or_array(x2))
 
@@ -152,7 +161,7 @@ def _conditional(method):
     def wrapper(self, component, lam, t, *s):
         if component not in (1, 2):
             raise DomainError(f"component must be 1 or 2, got {component}")
-        self._check_lambda(lam)
+        _check_gap(self.kind, lam)
         self._check_t(t)
         arrays = (np.asarray(x, dtype=float) for x in (t, *s))
         return _float_or_array(method(self, component, lam, *arrays))
@@ -165,7 +174,7 @@ def _density(method):
 
     @wraps(method)
     def wrapper(self, lam, t):
-        self._check_lambda(lam)
+        _check_gap(self.kind, lam)
         self._check_t(t)
         return _float_or_array(method(self, lam, np.asarray(t, dtype=float)))
 
@@ -174,14 +183,6 @@ def _density(method):
 
 class _ModelBase:
     kind: ProblemKind
-
-    def _check_lambda(self, lam: float) -> None:
-        if self.kind is ProblemKind.LOCATION:
-            if not lam >= 0.0:
-                raise DomainError(f"location gap must be >= 0, got {lam}")
-        else:
-            if not lam >= 1.0:
-                raise DomainError(f"scale gap must be >= 1, got {lam}")
 
     def _check_t(self, t) -> None:
         if self.kind is ProblemKind.SCALE and not np.all(np.asarray(t) > 0.0):
@@ -452,11 +453,9 @@ class PowerScale(_ModelBase):
         u1 = rng.random(size)
         u2 = rng.random(size)
         e1, e2 = 1.0 / self.alpha1, 1.0 / self.alpha2
-        if size is None:
-            # Python's pow on floats, which rounds unlike numpy's power
-            return Observation(params.theta1 * u1 ** e1, params.theta2 * u2 ** e2)
         # x = theta u^(1/alpha), in place; **= keeps numpy's fast paths for
-        # the exponents 0.5, 1 and 2 that ** takes
+        # the exponents 0.5, 1 and 2 that ** takes. A scalar draw is a
+        # Python float, so it takes Python's pow, as the expression does.
         u1 **= e1
         u2 **= e2
         u1 *= params.theta1

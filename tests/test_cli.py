@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pitnear import gpn
-from pitnear.cli import TABLES, main, run_config_dict, run_table
+from pitnear.cli import TABLES, _validate_config, main, run_config_dict, run_table
 from pitnear.errors import ConfigError, UnknownEstimatorError
 
 SMALL_N = 2000
@@ -132,6 +132,22 @@ class TestRunConfig:
         del cfg["loss"]
         with pytest.raises(ConfigError, match="loss"):
             run_config_dict(cfg)
+
+    def test_plan_columns(self):
+        # a table and a sweep validate into the same plan: labelled columns,
+        # each holding its cells over the gaps in order
+        table = _validate_config({"table": 4, "n_samples": 10, "seed": 3})
+        sweep = _validate_config(self.config())
+        assert type(table) is type(sweep)
+        assert [c.heading for c in table.columns] == [
+            "(0.5,0.2)", "(0.2,0.8)", "(1,1)", "(5,2)", "(1,30)", "(30,1)"]
+        assert table.columns[0].pair == "rmle_star/rmle@(0.5,0.2)"
+        assert [c.pair for c in sweep.columns] == ["rmle_star/rmle", "rmle/ue"]
+        assert [c.heading for c in sweep.columns] == ["rmle_star/rmle", "rmle/ue"]
+        assert (table.show_se, sweep.show_se) == (False, True)
+        for plan in (table, sweep):
+            for column in plan.columns:
+                assert [t.params.gap(t.model.kind) for t in column.tasks] == list(plan.gaps)
 
     def test_gap_domain_checked(self):
         with pytest.raises(ConfigError, match="scale gaps"):
@@ -313,6 +329,7 @@ class TestCommandLine:
             # rejected before any draw: 2**62 draws would fail in numpy
             {"n_samples": 2 ** 62},
             {"n_samples": 2 ** 100},
+            {"pairs": []},
         ],
         ids=[
             "oracle_string", "component_bool", "gap_string", "seed_string",
@@ -320,7 +337,7 @@ class TestCommandLine:
             "shape_bool", "shape_string", "shape_nan", "shape_infinity", "model_name_list",
             "shape_negative", "scale_bool", "rho_string", "rho_infinity", "rho_out_of_range",
             "loss_unknown", "loss_not_string", "loss_kind_mismatch", "nu_missing",
-            "nu_out_of_range", "n_samples_2e62", "n_samples_2e100",
+            "nu_out_of_range", "n_samples_2e62", "n_samples_2e100", "pairs_empty",
         ],
     )
     def test_config_type_error_exits_2(self, tmp_path, overrides):
@@ -370,6 +387,25 @@ class TestCommandLine:
         result = CliRunner().invoke(main, ["run", str(path)])
         assert result.exit_code == 2
         assert "table" in result.output
+
+    def test_list_root_with_option_exits_2(self, tmp_path):
+        # the options are written into the loaded config, so its root must
+        # be checked as an object before they are
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([1, 2]))
+        result = CliRunner().invoke(main, ["run", str(path), "--samples", "5"])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: config root must be a JSON object\n"
+
+    def test_unwritable_output_file_exits_2(self, tmp_path):
+        out = tmp_path / "missing" / "x.md"
+        result = CliRunner().invoke(
+            main, ["table", "1", "--samples", "10", "--output-file", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"error: cannot write output file {out}")
+        assert "Traceback" not in result.output
 
 
 # Fuzzed JSON configs: a well-formed table or sweep config, then up to two

@@ -13,6 +13,7 @@ from pitnear.models import (
     PowerScale,
     ProblemKind,
     RestrictedParams,
+    _check_gap,
     model_from_config,
 )
 from pitnear.quadrature import adaptive_quadrature
@@ -282,7 +283,7 @@ def d_density_integral(model, lam, t, rel_tol=1e-9):
     """Contrast density at t from its defining integral over the first
     pivot, by adaptive quadrature.
     """
-    model._check_lambda(lam)
+    _check_gap(model.kind, lam)
     model._check_t(t)
     lo, hi, integrand = _D_INTEGRANDS[type(model)](model, lam, float(t))
     return adaptive_quadrature(
