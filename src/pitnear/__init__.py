@@ -6,7 +6,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
-    KindMismatchError,
     PitnearError,
     UnknownEstimatorError,
     UnsupportedCaseError,
@@ -18,8 +17,7 @@ from .estimators import (
     LossKind,
     beta_weight,
     catalog,
-    clamp_location,
-    clamp_scale,
+    clamp,
     default_bounds,
     estimator_names,
     normal_nu_family,
@@ -62,7 +60,6 @@ __all__ = [
     "ExponentialLocation",
     "GammaScale",
     "GpnResult",
-    "KindMismatchError",
     "LOCATION_DOMINANCE_GAPS",
     "LossFn",
     "LossKind",
@@ -78,8 +75,7 @@ __all__ = [
     "UnsupportedCaseError",
     "beta_weight",
     "catalog",
-    "clamp_location",
-    "clamp_scale",
+    "clamp",
     "default_bounds",
     "derive_cell_seed",
     "estimator_names",

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .estimators import LossFn, resolve_estimator
 from .gpn import ComparisonTask, _pair_tasks, _run_tasks, derive_cell_seed
-from .models import BivariateNormal, GammaScale, ProblemKind, finite_number, model_from_config
+from .models import BivariateNormal, GammaScale, finite_number, model_from_config
 
 __all__ = ["main", "run_table", "TABLES", "TableSpec"]
 
@@ -48,19 +48,14 @@ class TableSpec:
 
     @property
     def gaps(self) -> tuple[float, ...]:
-        if self.model_cls.kind is ProblemKind.LOCATION:
-            return _LOCATION_GAPS
-        return _SCALE_GAPS
+        # seven gaps 0.5 apart, from the gap of equal parameters
+        return tuple(self.model_cls.kind.identity + 0.5 * k for k in range(7))
 
     @property
     def loss(self) -> str:
-        if self.model_cls.kind is ProblemKind.LOCATION:
-            return "location_abs"
-        return "scale_abs"
+        return f"{self.model_cls.kind.value}_abs"
 
 
-_LOCATION_GAPS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
-_SCALE_GAPS = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 _GAMMA_CONFIGS = ((0.5, 0.2), (0.2, 0.8), (1.0, 1.0), (5.0, 2.0), (1.0, 30.0), (30.0, 1.0))
 
 TABLES: dict[int, TableSpec] = {

@@ -17,10 +17,6 @@ class ConvergenceError(PitnearError, RuntimeError):
         self.achieved = achieved
 
 
-class KindMismatchError(PitnearError, ValueError):
-    """Location/scale machinery applied to an object of the other kind."""
-
-
 class UnsupportedCaseError(PitnearError, ValueError):
     """A model/component/loss combination the catalog does not cover."""
 

@@ -1,9 +1,9 @@
 """Estimator catalog for the four models plus the generic clamp-improvement
-constructors.
+constructor.
 
 Location estimators have the equivariant form X_i - psi(D) with D = X2 - X1;
 scale estimators the form psi(D) * X_i with D = X2 / X1 and psi > 0. The
-clamp constructors project a kernel onto the band spanned by the
+clamp constructor projects a kernel onto the band spanned by the
 conditional-median bounds, which is what produces the *_star entries of the
 catalog.
 """
@@ -18,12 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    KindMismatchError,
-    UnknownEstimatorError,
-    UnsupportedCaseError,
-)
+from .errors import DomainError, UnknownEstimatorError, UnsupportedCaseError
 from .models import (
     BivariateNormal,
     ExponentialLocation,
@@ -41,8 +36,7 @@ __all__ = [
     "Estimator",
     "ClampBounds",
     "beta_weight",
-    "clamp_location",
-    "clamp_scale",
+    "clamp",
     "default_bounds",
     "catalog",
     "normal_nu_family",
@@ -119,10 +113,8 @@ class Estimator:
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         xi = x1 if self.target == 1 else x2
-        if self.kind is ProblemKind.LOCATION:
-            out = xi - self.psi(x2 - x1)
-        else:
-            out = self.psi(x2 / x1) * xi
+        psi = self.psi(self.kind.contrast(x2, x1))
+        out = xi - psi if self.kind is ProblemKind.LOCATION else psi * xi
         return float(out) if scalar else out
 
 
@@ -169,18 +161,23 @@ def _reciprocal(x):
         return np.where(x == 0.0, np.inf, 1.0 / x)
 
 
-def _clamp(base: Estimator, bounds: ClampBounds, kind: ProblemKind, band) -> Estimator:
-    """Project a kernel of the given kind onto the band that band(t) returns
-    as the pair (lo, hi).
+def clamp(base: Estimator, bounds: ClampBounds) -> Estimator:
+    """Project a kernel onto the band of its kind: [l(t), u(t)] for a
+    location kernel, [1/u(t), 1/l(t)] for a scale kernel.
     """
-    if base.kind is not kind:
-        raise KindMismatchError(f"{base.name} is not a {kind.value} estimator")
-    _check_band(bounds, kind)
+    _check_band(bounds, base.kind)
     psi = base.psi
+    if base.kind is ProblemKind.LOCATION:
+        lower, upper = bounds.lower, bounds.upper
+    else:
+        def lower(t):
+            return _reciprocal(bounds.upper(t))
+
+        def upper(t):
+            return _reciprocal(bounds.lower(t))
 
     def clamped(t):
-        lo, hi = band(t)
-        return np.maximum(lo, np.minimum(psi(t), hi))
+        return np.maximum(lower(t), np.minimum(psi(t), upper(t)))
 
     return Estimator(
         name=base.name + "_star",
@@ -188,21 +185,6 @@ def _clamp(base: Estimator, bounds: ClampBounds, kind: ProblemKind, band) -> Est
         kind=base.kind,
         psi=clamped,
         breakpoints=tuple(sorted({*base.breakpoints, *bounds.breakpoints})),
-    )
-
-
-def clamp_location(base: Estimator, bounds: ClampBounds) -> Estimator:
-    """Project a location kernel onto [l(t), u(t)]."""
-    return _clamp(
-        base, bounds, ProblemKind.LOCATION, lambda t: (bounds.lower(t), bounds.upper(t))
-    )
-
-
-def clamp_scale(base: Estimator, bounds: ClampBounds) -> Estimator:
-    """Project a scale kernel onto [1/u(t), 1/l(t)]."""
-    return _clamp(
-        base, bounds, ProblemKind.SCALE,
-        lambda t: (_reciprocal(bounds.upper(t)), _reciprocal(bounds.lower(t))),
     )
 
 
@@ -290,7 +272,7 @@ def _normal_catalog(model: BivariateNormal, component: int) -> tuple[Estimator, 
         )
         if a > 1.0:
             # hp_star: the linear blend
-            return pnlee, rmle, hp, pdt, clamp_location(hp, bounds)
+            return pnlee, rmle, hp, pdt, clamp(hp, bounds)
         return pnlee, rmle, hp, pdt
     pnlee = Estimator("pnlee", 2, kind, _constant(0.0))
     rmle = Estimator(
@@ -308,8 +290,8 @@ def _normal_catalog(model: BivariateNormal, component: int) -> tuple[Estimator, 
         lambda t: -b * np.maximum(0.0, -t),
         breakpoints=(0.0,),
     )
-    pnlee_star = _with_breakpoints(clamp_location(pnlee, bounds), (0.0,))
-    rmle_star = clamp_location(rmle, bounds)
+    pnlee_star = _with_breakpoints(clamp(pnlee, bounds), (0.0,))
+    rmle_star = clamp(rmle, bounds)
     return pnlee, rmle, hp, pdt, pnlee_star, rmle_star
 
 
@@ -327,16 +309,12 @@ def _exponential_catalog(
             lambda t: np.maximum(0.0, -t),
             breakpoints=(0.0,),
         )
-        pnlee_star = _with_breakpoints(
-            clamp_location(pnlee, bounds), (c - s1 * _LN2,)
-        )
+        pnlee_star = _with_breakpoints(clamp(pnlee, bounds), (c - s1 * _LN2,))
     else:
         pnlee = Estimator("pnlee", 2, kind, _constant(s2 * _LN2))
         rmle = Estimator("rmle", 2, kind, _constant(0.0))
-        pnlee_star = _with_breakpoints(
-            clamp_location(pnlee, bounds), (s2 ** 2 * _LN2 / (s1 + s2),)
-        )
-    return pnlee, rmle, pnlee_star, clamp_location(rmle, bounds)
+        pnlee_star = _with_breakpoints(clamp(pnlee, bounds), (s2 ** 2 * _LN2 / (s1 + s2),))
+    return pnlee, rmle, pnlee_star, clamp(rmle, bounds)
 
 
 def _gamma_catalog(model: GammaScale, component: int) -> tuple[Estimator, ...]:
@@ -354,9 +332,9 @@ def _gamma_catalog(model: GammaScale, component: int) -> tuple[Estimator, ...]:
             lambda t: np.minimum(1.0 / a1, (1.0 + t) / asum),
             breakpoints=(a2 / a1,),
         )
-        rmle_star = _with_breakpoints(clamp_scale(rmle, bounds), (asum / nu - 1.0,))
-        pnsee_star = _with_breakpoints(clamp_scale(pnsee, bounds), (nu / nu1 - 1.0,))
-        ue_star = _with_breakpoints(clamp_scale(ue, bounds), (nu / a1 - 1.0,))
+        rmle_star = _with_breakpoints(clamp(rmle, bounds), (asum / nu - 1.0,))
+        pnsee_star = _with_breakpoints(clamp(pnsee, bounds), (nu / nu1 - 1.0,))
+        ue_star = _with_breakpoints(clamp(ue, bounds), (nu / a1 - 1.0,))
         return ue, pnsee, rmle, rmle_star, pnsee_star, ue_star
     nu2 = gamma_median(a2)
     ue = Estimator("ue", 2, kind, _constant(1.0 / a2))
@@ -367,11 +345,11 @@ def _gamma_catalog(model: GammaScale, component: int) -> tuple[Estimator, ...]:
         breakpoints=(a2 / a1,),
     )
     rmle_star = _with_breakpoints(
-        clamp_scale(rmle, bounds),
+        clamp(rmle, bounds),
         (a2 / (nu - a2),) if nu > a2 else (),
     )
     pnsee_star = _with_breakpoints(
-        clamp_scale(pnsee, bounds),
+        clamp(pnsee, bounds),
         (nu2 / (nu - nu2),) if nu > nu2 else (),
     )
     return ue, pnsee, rmle, rmle_star, pnsee_star
@@ -388,7 +366,7 @@ def _power_catalog(model: PowerScale, component: int) -> tuple[Estimator, ...]:
     else:
         pnsee = Estimator("pnsee", 2, kind, _constant(2.0 ** (1.0 / a2)))
         cuts = (1.0, 2.0 ** (-a1 / (a2 * asum)))
-    return pnsee, _with_breakpoints(clamp_scale(pnsee, bounds), cuts)
+    return pnsee, _with_breakpoints(clamp(pnsee, bounds), cuts)
 
 
 # Distinct (model, component) catalogs kept by the memo. Models are frozen

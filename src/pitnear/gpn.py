@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .estimators import Estimator, LossFn
-from .models import _BLOCK, ModelSpec, ProblemKind, RestrictedParams, _check_gap
+from .models import _BLOCK, ModelSpec, ProblemKind, RestrictedParams
 from .quadrature import adaptive_quadrature
 
 __all__ = [
@@ -114,12 +114,15 @@ def gpn_monte_carlo(task: ComparisonTask) -> GpnResult:
     The draws are compared block by block. Every step is element-wise with
     exactly rounded IEEE operations, so the counts do not depend on the
     block size, while the temporaries stay small.
+
+    A draw whose loss difference is not finite is neither a win, a tie nor
+    a loss, so any such draw fails the cell with a DomainError.
     """
     task.validate()
     rng = np.random.default_rng(task.seed)
     x1, x2 = task.model.sample(task.params, rng, size=task.n_samples)
     theta = task.params.component(task.candidate.target)
-    wins = ties = 0
+    wins = ties = finite = 0
     for i in range(0, task.n_samples, _BLOCK):
         b1, b2 = x1[i:i + _BLOCK], x2[i:i + _BLOCK]
         loss_cand = task.loss.evaluate(task.candidate.evaluate(b1, b2), theta)
@@ -128,8 +131,14 @@ def gpn_monte_carlo(task: ComparisonTask) -> GpnResult:
         np.maximum(tol, 1.0, out=tol)
         tol *= TIE_EPS
         diff = loss_cand - loss_ref
+        finite += int(np.count_nonzero(np.isfinite(diff)))
         wins += int(np.count_nonzero(diff < -tol))
         ties += int(np.count_nonzero(np.abs(diff, out=diff) <= tol))
+    if finite < task.n_samples:
+        raise DomainError(
+            f"{task.n_samples - finite} of {task.n_samples} draws give a non-finite "
+            f"loss difference for {task.candidate.name} vs {task.reference.name}"
+        )
     return GpnResult.from_counts(wins, ties, task.n_samples, task.seed)
 
 
@@ -187,14 +196,14 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
             g = _halfline_g(model, component, lam, t, xi, ps)
             return (g - 0.5) * weight
 
+        # adaptive_quadrature keeps only the cuts strictly inside the
+        # segment, which drops a non-finite one too
         seg_cuts = []
         for bp in cuts:
             try:
-                s = seg.from_t(bp)
+                seg_cuts.append(seg.from_t(bp))
             except (ZeroDivisionError, ValueError):
                 continue
-            if math.isfinite(s) and seg.lo < s < seg.hi:
-                seg_cuts.append(s)
         shift += adaptive_quadrature(
             integrand,
             seg.lo,
@@ -226,15 +235,6 @@ def derive_cell_seed(base_seed: int, pair_index: int, gap_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _pinned_params(kind: ProblemKind, gap: float) -> RestrictedParams:
-    # GPN of equivariant pairs depends on the parameters only through the
-    # gap, so one representative point per gap suffices.
-    _check_gap(kind, gap)
-    if kind is ProblemKind.LOCATION:
-        return RestrictedParams(0.0, gap)
-    return RestrictedParams(1.0, gap)
-
-
 def _pair_tasks(
     model: ModelSpec,
     candidate: Estimator,
@@ -252,7 +252,7 @@ def _pair_tasks(
     return tuple(
         ComparisonTask(
             model=model,
-            params=_pinned_params(model.kind, gap),
+            params=model.kind.pinned_params(gap),
             candidate=candidate,
             reference=reference,
             loss=loss,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pitnear import gpn
 from pitnear.cli import TABLES, _validate_config, main, run_config_dict, run_table
-from pitnear.errors import ConfigError, UnknownEstimatorError
+from pitnear.errors import ConfigError, DomainError, UnknownEstimatorError
 
 SMALL_N = 2000
 DATA = Path(__file__).parent / "data"
@@ -204,6 +204,29 @@ class TestCommandLine:
         )
         assert result.exit_code == 0
         assert out.read_text().startswith("# table 1")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_losses_exit_4(self, tmp_path):
+        # at shapes this small some estimates overflow or are 0/0. Counting
+        # each NaN draw as a loss would print MC 0.366 next to oracle 0.510
+        cfg = {
+            "model": {"name": "gamma", "alpha1": 0.01, "alpha2": 0.01},
+            "component": 2,
+            "pairs": [["rmle_star", "rmle"]],
+            "gaps": [2.0],
+            "loss": "scale_abs",
+            "n_samples": 100000,
+            "seed": 1,
+            "oracle": True,
+        }
+        with pytest.raises(DomainError, match="non-finite"):
+            run_config_dict(cfg)
+        path = tmp_path / "small_shapes.json"
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 4, result.output
+        assert result.stdout == ""
+        assert "of 100000 draws give a non-finite loss difference" in result.stderr
 
     def test_invalid_table_exits_2(self):
         result = CliRunner().invoke(main, ["table", "9", "--samples", "100"])

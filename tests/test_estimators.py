@@ -5,20 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pitnear.errors import (
-    DomainError,
-    KindMismatchError,
-    UnknownEstimatorError,
-    UnsupportedCaseError,
-)
+from pitnear.errors import DomainError, UnknownEstimatorError, UnsupportedCaseError
 from pitnear.estimators import (
     ClampBounds,
+    Estimator,
     LossFn,
     LossKind,
     beta_weight,
     catalog,
-    clamp_location,
-    clamp_scale,
+    clamp,
     default_bounds,
     estimator_names,
     normal_nu_family,
@@ -106,7 +101,7 @@ class TestClampLocation:
         # clamping the zero kernel reproduces the restricted-MLE kernel
         bounds = default_bounds(NORMAL_HALF, 1)
         pnlee = resolve_estimator(NORMAL_HALF, 1, "pnlee")
-        star = clamp_location(pnlee, bounds)
+        star = clamp(pnlee, bounds)
         assert star.psi(np.array(-2.0)) == pytest.approx(1.0)
         rmle = resolve_estimator(NORMAL_HALF, 1, "rmle")
         t = np.linspace(-6.0, 6.0, 101)
@@ -115,7 +110,7 @@ class TestClampLocation:
     def test_identity_on_band(self):
         bounds = default_bounds(NORMAL_HALF, 1)
         rmle = resolve_estimator(NORMAL_HALF, 1, "rmle")
-        star = clamp_location(rmle, bounds)
+        star = clamp(rmle, bounds)
         t = np.linspace(-6.0, 6.0, 101)
         assert np.array_equal(star.psi(t), rmle.psi(t))
 
@@ -159,15 +154,10 @@ class TestClampLocation:
         star = resolve_estimator(NORMAL_HALF, 2, "pnlee_star")
         assert star.name.endswith("_star")
 
-    def test_kind_mismatch(self):
-        g = GammaScale(1.0, 1.0)
-        with pytest.raises(KindMismatchError):
-            clamp_location(resolve_estimator(g, 1, "ue"), default_bounds(NORMAL_HALF, 1))
-
     def test_invalid_band_rejected(self):
         bad = ClampBounds(lower=lambda t: np.ones_like(t), upper=lambda t: np.zeros_like(t))
         with pytest.raises(DomainError):
-            clamp_location(resolve_estimator(NORMAL_HALF, 1, "pnlee"), bad)
+            clamp(resolve_estimator(NORMAL_HALF, 1, "pnlee"), bad)
 
 
 class TestClampScale:
@@ -195,7 +185,7 @@ class TestClampScale:
     def test_identity_on_band(self):
         g = GammaScale(1.0, 1.0)
         star = resolve_estimator(g, 1, "rmle_star")
-        restar = clamp_scale(star, default_bounds(g, 1))
+        restar = clamp(star, default_bounds(g, 1))
         t = np.linspace(0.05, 8.0, 101)
         assert np.array_equal(restar.psi(t), star.psi(t))
 
@@ -208,12 +198,33 @@ class TestClampScale:
         want = np.maximum(math.sqrt(2.0) * x1, 2.0 * x2)
         assert np.allclose(star.evaluate(x1, x2), want, rtol=1e-12)
 
-    def test_kind_mismatch(self):
-        with pytest.raises(KindMismatchError):
-            clamp_scale(
-                resolve_estimator(NORMAL_HALF, 1, "pnlee"),
-                default_bounds(GammaScale(1.0, 1.0), 1),
-            )
+
+# One pair of bounds for both kinds. On BAND_T its lower arm reaches 0 and
+# its upper arm +inf, so the scale band meets the conventions 1/0 = inf and
+# 1/inf = 0.
+BAND_T = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+BAND_BOUNDS = ClampBounds(
+    lower=lambda t: np.where(np.abs(t) < 1.0, 0.0, np.abs(t)),
+    upper=lambda t: np.where(np.abs(t) > 2.0, np.inf, np.abs(t) + 1.0),
+)
+
+
+@pytest.mark.parametrize(
+    "kind, want_lo, want_hi",
+    [
+        (ProblemKind.LOCATION, [0.0, 0.0, 1.0, 2.0, 4.0], [1.25, 1.5, 2.0, 3.0, math.inf]),
+        (ProblemKind.SCALE, [1 / 1.25, 1 / 1.5, 1 / 2.0, 1 / 3.0, 0.0],
+         [math.inf, math.inf, 1.0, 0.5, 0.25]),
+    ],
+    ids=["location", "scale"],
+)
+def test_clamp_band_follows_kernel_kind(kind, want_lo, want_hi):
+    # [l, u] for a location kernel and [1/u, 1/l] for a scale kernel, bit for
+    # bit: a kernel at -inf lands on the lower edge, one at +inf on the upper
+    low = clamp(Estimator("low", 1, kind, lambda t: np.full_like(t, -np.inf)), BAND_BOUNDS)
+    high = clamp(Estimator("high", 1, kind, lambda t: np.full_like(t, np.inf)), BAND_BOUNDS)
+    assert low.psi(BAND_T).tobytes() == np.array(want_lo).tobytes()
+    assert high.psi(BAND_T).tobytes() == np.array(want_hi).tobytes()
 
 
 class TestDefaultBounds:
@@ -442,18 +453,18 @@ def test_scale_equivariance(x1, x2, b):
 # Built once, so GammaScale(5.0, 2.0) finds its pooled median once rather
 # than once per example.
 CLAMP_CASES = [
-    (NORMAL_HALF, 1, clamp_location),
-    (BivariateNormal(0.5, 5.0, 0.9), 1, clamp_location),
-    (ExponentialLocation(1.0, 2.0), 2, clamp_location),
-    (GammaScale(5.0, 2.0), 1, clamp_scale),
-    (PowerScale(2.0, 0.5), 2, clamp_scale),
+    (NORMAL_HALF, 1),
+    (BivariateNormal(0.5, 5.0, 0.9), 1),
+    (ExponentialLocation(1.0, 2.0), 2),
+    (GammaScale(5.0, 2.0), 1),
+    (PowerScale(2.0, 0.5), 2),
 ]
 
 
 @settings(max_examples=250, deadline=None)
 @given(t=st.floats(-30.0, 30.0, allow_nan=False))
 def test_clamp_idempotent_and_in_band(t):
-    for model, component, clamp in CLAMP_CASES:
+    for model, component in CLAMP_CASES:
         tt = np.asarray(abs(t) + 0.01 if model.kind is ProblemKind.SCALE else t)
         bounds = default_bounds(model, component)
         for est in catalog(model, component):

@@ -42,15 +42,10 @@ ANCHOR_GAMMA = GammaScale(30.0, 1.0)
 
 def task_for(model, gap, cand_name, ref_name, n=2 ** 12, seed=42):
     comp = 1 if model.kind is ProblemKind.LOCATION else 2
-    params = (
-        RestrictedParams(0.0, gap)
-        if model.kind is ProblemKind.LOCATION
-        else RestrictedParams(1.0, gap)
-    )
     loss = LOC_ABS if model.kind is ProblemKind.LOCATION else SCALE_ABS
     return ComparisonTask(
         model,
-        params,
+        model.kind.pinned_params(gap),
         resolve_estimator(model, comp, cand_name),
         resolve_estimator(model, comp, ref_name),
         loss,
@@ -133,6 +128,21 @@ class TestMonteCarlo:
         task = task_for(model, gap, cand, ref, n=n, seed=n)
         assert gpn_monte_carlo(task) == unblocked_monte_carlo(task)
 
+    def test_non_finite_loss_difference_fails_the_cell(self):
+        # a NaN loss difference is neither a win nor a tie, and it may not
+        # count as a loss: the cell fails and names how many draws gave one
+        nan_tail = Estimator(
+            "nan_tail", 1, ProblemKind.LOCATION, lambda t: np.where(t > 3.0, np.nan, 0.0)
+        )
+        ref = resolve_estimator(ANCHOR_NORMAL, 1, "pnlee")
+        n = 3 * 2 ** 14 + 5
+        task = ComparisonTask(ANCHOR_NORMAL, RestrictedParams(0.0, 1.0), nan_tail, ref, LOC_ABS, n, 9)
+        x1, x2 = ANCHOR_NORMAL.sample(task.params, np.random.default_rng(9), n)
+        bad = int(np.count_nonzero(x2 - x1 > 3.0))
+        assert 0 < bad < n
+        with pytest.raises(DomainError, match=f"^{bad} of {n} draws give a non-finite"):
+            gpn_monte_carlo(task)
+
     def test_validation_errors(self):
         cand = resolve_estimator(ANCHOR_NORMAL, 1, "rmle")
         ref2 = resolve_estimator(ANCHOR_NORMAL, 2, "pnlee")
@@ -213,14 +223,9 @@ class TestOracle:
         }
         assert len(cells) == (19 if model.kind is ProblemKind.SCALE else 23)
         for gap, value in cells.items():
-            params = (
-                RestrictedParams(0.0, gap)
-                if model.kind is ProblemKind.LOCATION
-                else RestrictedParams(1.0, gap)
-            )
             task = ComparisonTask(
                 model,
-                params,
+                model.kind.pinned_params(gap),
                 resolve_estimator(model, component, cand),
                 resolve_estimator(model, component, ref),
                 LOC_ABS if model.kind is ProblemKind.LOCATION else SCALE_ABS,
@@ -235,14 +240,9 @@ class TestOracle:
             comp = 1 if model.kind is ProblemKind.LOCATION else 2
             gaps = [0.0, 1.0, 3.0] if model.kind is ProblemKind.LOCATION else [1.0, 2.0, 4.0]
             for gap in gaps:
-                params = (
-                    RestrictedParams(0.0, gap)
-                    if model.kind is ProblemKind.LOCATION
-                    else RestrictedParams(1.0, gap)
-                )
                 task = ComparisonTask(
                     model,
-                    params,
+                    model.kind.pinned_params(gap),
                     resolve_estimator(model, comp, cand),
                     resolve_estimator(model, comp, ref),
                     LOC_ABS if model.kind is ProblemKind.LOCATION else SCALE_ABS,

@@ -13,7 +13,6 @@ from pitnear.models import (
     PowerScale,
     ProblemKind,
     RestrictedParams,
-    _check_gap,
     model_from_config,
 )
 from pitnear.quadrature import adaptive_quadrature
@@ -62,6 +61,25 @@ class TestRestrictedParams:
         p = RestrictedParams(-1.0, 1.0)
         with pytest.raises(DomainError):
             p.gap(ProblemKind.SCALE)
+
+
+@pytest.mark.parametrize(
+    "kind, identity, below",
+    [(ProblemKind.LOCATION, 0.0, -0.5), (ProblemKind.SCALE, 1.0, 0.5)],
+    ids=["location", "scale"],
+)
+def test_problem_kind_conventions(kind, identity, below):
+    # the pinned point of a gap starts at the identity and has that gap;
+    # gaps below the identity, and NaN, are outside the domain
+    assert kind.pinned_params(identity) == RestrictedParams(identity, identity)
+    params = kind.pinned_params(2.5)
+    assert params == RestrictedParams(identity, 2.5)
+    assert params.gap(kind) == kind.contrast(2.5, identity) == 2.5
+    message = rf"^{kind.value} gaps must be >= {identity:g}, got {below}$"
+    with pytest.raises(DomainError, match=message):
+        kind.pinned_params(below)
+    with pytest.raises(DomainError):
+        kind.check_gap(math.nan)
 
 
 class TestSpecValidation:
@@ -283,7 +301,7 @@ def d_density_integral(model, lam, t, rel_tol=1e-9):
     """Contrast density at t from its defining integral over the first
     pivot, by adaptive quadrature.
     """
-    _check_gap(model.kind, lam)
+    model.kind.check_gap(lam)
     model._check_t(t)
     lo, hi, integrand = _D_INTEGRANDS[type(model)](model, lam, float(t))
     return adaptive_quadrature(
@@ -506,10 +524,7 @@ def test_binned_conditional_median(model, lam, component):
     bin.
     """
     n = 10 ** 6
-    if model.kind is ProblemKind.LOCATION:
-        params = RestrictedParams(0.0, lam)
-    else:
-        params = RestrictedParams(1.0, lam)
+    params = model.kind.pinned_params(lam)
     rng = np.random.default_rng(hash((type(model).__name__, component)) % 2 ** 32)
     x1, x2 = model.sample(params, rng, n)
     if model.kind is ProblemKind.LOCATION:
