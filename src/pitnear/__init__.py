@@ -28,11 +28,11 @@ from .gpn import (
     SCALE_DOMINANCE_GAPS,
     ComparisonTask,
     GpnResult,
-    SweepCell,
+    column_tasks,
     derive_cell_seed,
     gpn_monte_carlo,
     gpn_oracle,
-    gpn_sweep,
+    run_columns,
 )
 from .models import (
     BivariateNormal,
@@ -70,12 +70,12 @@ __all__ = [
     "ProblemKind",
     "RestrictedParams",
     "SCALE_DOMINANCE_GAPS",
-    "SweepCell",
     "UnknownEstimatorError",
     "UnsupportedCaseError",
     "beta_weight",
     "catalog",
     "clamp",
+    "column_tasks",
     "default_bounds",
     "derive_cell_seed",
     "estimator_names",
@@ -83,10 +83,10 @@ __all__ = [
     "gammaln",
     "gpn_monte_carlo",
     "gpn_oracle",
-    "gpn_sweep",
     "model_from_config",
     "normal_cdf",
     "normal_nu_family",
     "regularized_gamma_p",
     "resolve_estimator",
+    "run_columns",
 ]

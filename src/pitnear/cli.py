@@ -13,7 +13,6 @@ import io
 import json
 import sys
 from dataclasses import dataclass, fields
-from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,7 +26,7 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .estimators import LossFn, resolve_estimator
-from .gpn import ComparisonTask, _pair_tasks, _run_tasks, derive_cell_seed
+from .gpn import ComparisonTask, column_tasks, derive_cell_seed, run_columns
 from .models import BivariateNormal, GammaScale, finite_number, model_from_config
 
 __all__ = ["main", "run_table", "TABLES", "TableSpec"]
@@ -218,7 +217,7 @@ def _column(model, pair, gaps, loss, n_samples, base_seed, index, heading) -> _C
     """
     candidate, reference = pair
     name = f"{candidate.name}/{reference.name}"
-    tasks = _pair_tasks(model, candidate, reference, gaps, loss, n_samples, base_seed, index)
+    tasks = column_tasks(model, candidate, reference, gaps, loss, n_samples, base_seed, index)
     return _Column(heading or name, f"{name}@{heading}" if heading else name, tasks)
 
 
@@ -322,12 +321,10 @@ def _validate_config(cfg: dict) -> _RunPlan:
     return _RunPlan(title, gaps, columns, oracle, output, show_se=not has_table)
 
 
-def _render(plan: _RunPlan, results) -> str:
-    """A run's results, in the plan's cell order, as CSV or as a markdown
-    table with one row per gap.
+def _render(plan: _RunPlan, cells) -> str:
+    """A run's results, one list per column of the plan, as CSV or as a
+    markdown table with one row per gap.
     """
-    it = iter(results)
-    cells = [list(islice(it, len(column.tasks))) for column in plan.columns]
     if plan.output == "csv":
         header = ["pair", "gap", "gpn", "std_error", "tie_fraction", "n", "seed"]
         if plan.oracle:
@@ -371,8 +368,7 @@ def run_config_dict(cfg: dict) -> str:
     cells of the run go through one pool.
     """
     plan = _validate_config(cfg)
-    tasks = [task for column in plan.columns for task in column.tasks]
-    return _render(plan, _run_tasks(tasks, plan.oracle))
+    return _render(plan, run_columns([c.tasks for c in plan.columns], plan.oracle))
 
 
 def _load_config(path: str | Path) -> dict:

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,10 +25,10 @@ from .quadrature import adaptive_quadrature
 __all__ = [
     "GpnResult",
     "ComparisonTask",
-    "SweepCell",
     "gpn_monte_carlo",
     "gpn_oracle",
-    "gpn_sweep",
+    "column_tasks",
+    "run_columns",
     "derive_cell_seed",
     "LOCATION_DOMINANCE_GAPS",
     "SCALE_DOMINANCE_GAPS",
@@ -215,18 +214,6 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
     return min(max(0.5 + shift, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    """One (pair, gap) cell of a sweep."""
-
-    pair_index: int
-    candidate_name: str
-    reference_name: str
-    gap: float
-    result: GpnResult
-    oracle: Optional[float] = None
-
-
 def derive_cell_seed(base_seed: int, pair_index: int, gap_index: int) -> int:
     """Deterministic 64-bit per-cell seed from the base seed and the cell's
     (pair, gap) indices; distinct cells get independent streams.
@@ -235,7 +222,7 @@ def derive_cell_seed(base_seed: int, pair_index: int, gap_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _pair_tasks(
+def column_tasks(
     model: ModelSpec,
     candidate: Estimator,
     reference: Estimator,
@@ -245,9 +232,9 @@ def _pair_tasks(
     base_seed: int,
     pair_index: int,
 ) -> tuple[ComparisonTask, ...]:
-    """The cells of one pair over the gaps in order, each on the seed derived
-    from the base seed and its (pair, gap) indices. A gap outside the
-    model's domain raises here, before any cell runs.
+    """One column: the cells of one pair over the gaps in order, each on the
+    seed derived from the base seed and its (pair, gap) indices. A gap
+    outside the model's domain raises here, before any cell runs.
     """
     return tuple(
         ComparisonTask(
@@ -263,60 +250,37 @@ def _pair_tasks(
     )
 
 
-def _run_tasks(
-    tasks: Sequence[ComparisonTask], oracle: bool = False
-) -> list[tuple[GpnResult, Optional[float]]]:
-    """Monte Carlo GPN of every task, with its oracle value when asked, in
-    task order.
+def run_columns(
+    columns: Sequence[Sequence[ComparisonTask]], oracle: bool = False
+) -> list[list[tuple[GpnResult, Optional[float]]]]:
+    """Monte Carlo GPN of every cell, with its oracle value when asked: one
+    list per column, in cell order.
 
-    The Monte Carlo cells run on one pool of one thread per usable CPU
-    (numpy releases the GIL while it draws and computes), and each cell owns
-    its generator, so the results do not depend on the thread count. The
-    calling thread collects the cells in order and computes each oracle
-    value as its cell arrives, so the first error raised is the one a serial
-    loop would raise; any error cancels the cells not yet started.
+    The Monte Carlo cells of all columns run on one pool of one thread per
+    usable CPU (numpy releases the GIL while it draws and computes), and
+    each cell owns its generator, so the results do not depend on the
+    thread count. The calling thread collects the cells in order and
+    computes each oracle value as its cell arrives, so the first error
+    raised is the one a serial loop would raise; any error cancels the
+    cells not yet started.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    if not tasks:
-        return []
-    out = []
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(tasks))) as pool:
+    n_cells = sum(len(column) for column in columns)
+    if not n_cells:
+        return [[] for _ in columns]
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), n_cells)) as pool:
         try:
-            futures = [pool.submit(gpn_monte_carlo, task) for task in tasks]
-            for task, future in zip(tasks, futures):
-                result = future.result()
-                out.append((result, gpn_oracle(task) if oracle else None))
+            futures = [[pool.submit(gpn_monte_carlo, task) for task in column]
+                       for column in columns]
+            return [
+                [(future.result(), gpn_oracle(task) if oracle else None)
+                 for task, future in zip(column, column_futures)]
+                for column, column_futures in zip(columns, futures)
+            ]
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    return out
-
-
-def gpn_sweep(
-    model: ModelSpec,
-    pairs: Sequence[tuple[Estimator, Estimator]],
-    gaps: Iterable[float],
-    loss: LossFn,
-    n_samples: int = 10000,
-    base_seed: int = 42,
-    oracle: bool = False,
-) -> list[SweepCell]:
-    """Monte Carlo GPN for every (pair, gap) cell, each on its own derived
-    seed; rows come back in the given (pair, gap) order. Gaps are checked
-    before any cell starts.
-    """
-    gaps = [float(gap) for gap in gaps]
-    tasks = [
-        task
-        for i, (candidate, reference) in enumerate(pairs)
-        for task in _pair_tasks(model, candidate, reference, gaps, loss, n_samples, base_seed, i)
-    ]
-    cells = zip(product(range(len(pairs)), gaps), tasks, _run_tasks(tasks, oracle))
-    return [
-        SweepCell(i, task.candidate.name, task.reference.name, gap, result, value)
-        for (i, gap), task, (result, value) in cells
-    ]
 
 
 def _usable_cpus() -> int:

@@ -27,6 +27,7 @@ from pitnear.gpn import (
     derive_cell_seed,
     gpn_monte_carlo,
     gpn_oracle,
+    run_columns,
 )
 from pitnear.models import (
     BivariateNormal,
@@ -182,8 +183,7 @@ def test_criterion_3_oracle_monte_carlo_equivalence():
     cases = _certification_cases()
     rng = np.random.default_rng(20250809)
     picks = rng.choice(len(cases), size=20, replace=True)
-    worst = 0.0
-    failures = []
+    tasks = []
     for i, pick in enumerate(picks):
         model, comp, cand, ref = cases[pick]
         gaps = (
@@ -192,16 +192,20 @@ def test_criterion_3_oracle_monte_carlo_equivalence():
             else SCALE_DOMINANCE_GAPS
         )
         gap = float(gaps[rng.integers(len(gaps))])
-        task = ComparisonTask(
+        tasks.append(ComparisonTask(
             model, model.kind.pinned_params(gap), cand, ref, _loss(model.kind),
             n_samples=10 ** 6, seed=derive_cell_seed(ACCEPTANCE_SEED, int(pick), i),
-        )
-        mc = gpn_monte_carlo(task)
-        val = gpn_oracle(task, abs_tol=1e-8)
+        ))
+    # run_columns takes each oracle value at gpn_oracle's default abs_tol, 1e-8
+    [results] = run_columns([tasks], oracle=True)
+    worst = 0.0
+    failures = []
+    for task, (mc, val) in zip(tasks, results):
         gap_se = abs(val - mc.estimate) / max(mc.std_error, 1e-12)
         worst = max(worst, gap_se)
         if abs(val - mc.estimate) > 4.0 * mc.std_error:
-            failures.append((type(model).__name__, cand.name, ref.name, gap, val, mc.estimate))
+            failures.append((type(task.model).__name__, task.candidate.name, task.reference.name,
+                             task.params.gap(task.model.kind), val, mc.estimate))
     ok = not failures
     _report(
         3, "oracle-MC equivalence", ok,

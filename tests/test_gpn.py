@@ -13,10 +13,11 @@ from pitnear.gpn import (
     TIE_EPS,
     ComparisonTask,
     GpnResult,
+    column_tasks,
     derive_cell_seed,
     gpn_monte_carlo,
     gpn_oracle,
-    gpn_sweep,
+    run_columns,
 )
 from pitnear.models import (
     BivariateNormal,
@@ -272,7 +273,15 @@ def fast_thread_switches():
     sys.setswitchinterval(interval)
 
 
-class TestSweep:
+def columns_for(model, pairs, gaps, loss, n_samples, base_seed=42):
+    """One column per (candidate, reference) pair, pair i on index i."""
+    return [
+        column_tasks(model, cand, ref, gaps, loss, n_samples, base_seed, i)
+        for i, (cand, ref) in enumerate(pairs)
+    ]
+
+
+class TestRunColumns:
     def test_grid_shape_and_order(self):
         pairs = [
             (
@@ -285,13 +294,31 @@ class TestSweep:
             ),
         ]
         gaps = [1.0, 2.0, 3.0]
-        cells = gpn_sweep(ANCHOR_GAMMA, pairs, gaps, SCALE_ABS, n_samples=2 ** 10)
-        assert len(cells) == 6
-        assert [c.pair_index for c in cells] == [0, 0, 0, 1, 1, 1]
-        assert [c.gap for c in cells] == gaps * 2
+        columns = columns_for(ANCHOR_GAMMA, pairs, gaps, SCALE_ABS, 2 ** 10)
+        assert [[t.params.theta2 for t in column] for column in columns] == [gaps, gaps]
+        results = run_columns(columns)
+        assert [len(column) for column in results] == [3, 3]
+        assert [[r.seed for r, _ in column] for column in results] == [
+            [t.seed for t in column] for column in columns
+        ]
+        assert all(value is None for column in results for _, value in column)
 
-    def test_empty_pairs(self):
-        assert gpn_sweep(ANCHOR_GAMMA, [], [1.0, 2.0], SCALE_ABS) == []
+    def test_empty_input(self):
+        assert run_columns([]) == []
+        assert run_columns([(), ()], oracle=True) == [[], []]
+
+    def test_empty_column_between_full_ones(self):
+        ref = resolve_estimator(ANCHOR_NORMAL, 1, "pnlee")
+        a, b = columns_for(
+            ANCHOR_NORMAL,
+            [(resolve_estimator(ANCHOR_NORMAL, 1, "rmle"), ref),
+             (resolve_estimator(ANCHOR_NORMAL, 1, "pdt"), ref)],
+            [0.0, 1.0], LOC_ABS, 2 ** 10,
+        )
+        results = run_columns([a, (), b])
+        assert [[r for r, _ in column] for column in results] == [
+            [gpn_monte_carlo(t) for t in a], [], [gpn_monte_carlo(t) for t in b],
+        ]
 
     def test_deterministic(self):
         pair = [
@@ -300,8 +327,8 @@ class TestSweep:
                 resolve_estimator(ANCHOR_NORMAL, 1, "pnlee"),
             )
         ]
-        a = gpn_sweep(ANCHOR_NORMAL, pair, [0.0, 1.0], LOC_ABS, n_samples=2 ** 10, base_seed=3)
-        b = gpn_sweep(ANCHOR_NORMAL, pair, [0.0, 1.0], LOC_ABS, n_samples=2 ** 10, base_seed=3)
+        a = run_columns(columns_for(ANCHOR_NORMAL, pair, [0.0, 1.0], LOC_ABS, 2 ** 10, 3))
+        b = run_columns(columns_for(ANCHOR_NORMAL, pair, [0.0, 1.0], LOC_ABS, 2 ** 10, 3))
         assert a == b
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
@@ -321,18 +348,20 @@ class TestSweep:
         ]
         gaps = [0.0, 0.5, 2.0]
         n = 2 ** 14 + 3
-        cells = gpn_sweep(ANCHOR_NORMAL, pairs, gaps, LOC_ABS, n_samples=n, base_seed=7)
+        columns = columns_for(ANCHOR_NORMAL, pairs, gaps, LOC_ABS, n, base_seed=7)
         tasks = [
-            ComparisonTask(
-                ANCHOR_NORMAL, RestrictedParams(0.0, gap), cand, ref, LOC_ABS,
-                n_samples=n, seed=derive_cell_seed(7, i, j),
-            )
+            [
+                ComparisonTask(
+                    ANCHOR_NORMAL, RestrictedParams(0.0, gap), cand, ref, LOC_ABS,
+                    n_samples=n, seed=derive_cell_seed(7, i, j),
+                )
+                for j, gap in enumerate(gaps)
+            ]
             for i, (cand, ref) in enumerate(pairs)
-            for j, gap in enumerate(gaps)
         ]
-        assert [c.result for c in cells] == [gpn_monte_carlo(t) for t in tasks]
-        assert [(c.candidate_name, c.reference_name) for c in cells] == [
-            (t.candidate.name, t.reference.name) for t in tasks
+        assert [list(column) for column in columns] == tasks
+        assert [[r for r, _ in column] for column in run_columns(columns)] == [
+            [gpn_monte_carlo(t) for t in column] for column in tasks
         ]
 
     def test_oracle_cells_match_cell_by_cell(self):
@@ -343,16 +372,16 @@ class TestSweep:
             )
         ]
         gaps = [1.0, 1.5, 3.0]
-        cells = gpn_sweep(ANCHOR_GAMMA, pair, gaps, SCALE_ABS, n_samples=64, oracle=True)
-        for cell, gap in zip(cells, gaps):
+        [column] = run_columns(columns_for(ANCHOR_GAMMA, pair, gaps, SCALE_ABS, 64), oracle=True)
+        for (_, value), gap in zip(column, gaps):
             task = ComparisonTask(
                 ANCHOR_GAMMA, RestrictedParams(1.0, gap), *pair[0], SCALE_ABS, n_samples=64
             )
-            assert cell.oracle == gpn_oracle(task)
+            assert value == gpn_oracle(task)
 
     def test_cell_error_comes_out_in_cell_order(self, monkeypatch):
-        # each failing kernel raises inside a pool thread; the sweep raises
-        # the error of the first failing cell in (pair, gap) order, even
+        # each failing kernel raises inside a pool thread; the runner raises
+        # the error of the first failing cell in (column, gap) order, even
         # when a later cell fails sooner
         monkeypatch.setattr(gpn, "_usable_cpus", lambda: 4)
 
@@ -371,21 +400,45 @@ class TestSweep:
              ZeroDivisionError),
         ]:
             with pytest.raises(expected):
-                gpn_sweep(ANCHOR_NORMAL, pairs, [0.0, 1.0], LOC_ABS, n_samples=2 ** 15)
+                run_columns(columns_for(ANCHOR_NORMAL, pairs, [0.0, 1.0], LOC_ABS, 2 ** 15))
+
+    def test_error_cancels_cells_not_started(self, monkeypatch):
+        # on one thread, the failing first cell leaves the seven behind it
+        # queued; each takes 50 ms, and the error cancels those not started
+        monkeypatch.setattr(gpn, "_usable_cpus", lambda: 1)
+        ran = []
+
+        def failing_psi(t):
+            raise FloatingPointError("kernel failed")
+
+        def recording_psi(t):
+            ran.append(t.size)
+            time.sleep(0.05)
+            return t
+
+        ref = resolve_estimator(ANCHOR_NORMAL, 1, "pnlee")
+        failing = Estimator("failing", 1, ProblemKind.LOCATION, failing_psi)
+        recording = Estimator("recording", 1, ProblemKind.LOCATION, recording_psi)
+        first = column_tasks(ANCHOR_NORMAL, failing, ref, [0.0], LOC_ABS, 64, 42, 0)
+        rest = column_tasks(ANCHOR_NORMAL, recording, ref, [0.5 * k for k in range(7)],
+                            LOC_ABS, 64, 42, 1)
+        with pytest.raises(FloatingPointError):
+            run_columns([first, rest])
+        assert len(ran) < 7
 
     def test_cell_seeds_distinct(self):
         seeds = {derive_cell_seed(42, i, j) for i in range(4) for j in range(8)}
         assert len(seeds) == 32
 
     def test_gap_domain_validation(self):
-        pair = [
-            (
+        # a scale gap below 1 is rejected when the column is built
+        with pytest.raises(DomainError):
+            column_tasks(
+                ANCHOR_GAMMA,
                 resolve_estimator(ANCHOR_GAMMA, 2, "rmle"),
                 resolve_estimator(ANCHOR_GAMMA, 2, "ue"),
+                [0.5], SCALE_ABS, 64, 42, 0,
             )
-        ]
-        with pytest.raises(DomainError):
-            gpn_sweep(ANCHOR_GAMMA, pair, [0.5], SCALE_ABS, n_samples=64)
 
     def test_oracle_column(self):
         pair = [
@@ -394,7 +447,7 @@ class TestSweep:
                 resolve_estimator(ANCHOR_NORMAL, 1, "pnlee"),
             )
         ]
-        cells = gpn_sweep(
-            ANCHOR_NORMAL, pair, [0.0], LOC_ABS, n_samples=2 ** 10, oracle=True
+        [[(_, value)]] = run_columns(
+            columns_for(ANCHOR_NORMAL, pair, [0.0], LOC_ABS, 2 ** 10), oracle=True
         )
-        assert cells[0].oracle == pytest.approx(0.7300, abs=1e-3)
+        assert value == pytest.approx(0.7300, abs=1e-3)
