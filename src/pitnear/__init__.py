@@ -14,7 +14,6 @@ from .estimators import (
     ClampBounds,
     Estimator,
     LossFn,
-    LossKind,
     beta_weight,
     catalog,
     clamp,
@@ -62,7 +61,6 @@ __all__ = [
     "GpnResult",
     "LOCATION_DOMINANCE_GAPS",
     "LossFn",
-    "LossKind",
     "ModelSpec",
     "Observation",
     "PitnearError",

@@ -51,8 +51,8 @@ class TableSpec:
         return tuple(self.model_cls.kind.identity + 0.5 * k for k in range(7))
 
     @property
-    def loss(self) -> str:
-        return f"{self.model_cls.kind.value}_abs"
+    def loss(self) -> LossFn:
+        return LossFn(self.model_cls.kind)
 
 
 _GAMMA_CONFIGS = ((0.5, 0.2), (0.2, 0.8), (1.0, 1.0), (5.0, 2.0), (1.0, 30.0), (30.0, 1.0))
@@ -266,10 +266,10 @@ def _validate_config(cfg: dict) -> _RunPlan:
         if not _is_int(table) or table not in TABLES:
             raise ConfigError(f"field 'table' must be an integer 1..6, got {table!r}")
         spec = TABLES[table]
-        gaps, loss = spec.gaps, LossFn.from_name(spec.loss)
+        gaps, loss = spec.gaps, spec.loss
         title = (
             f"# table {table}: {spec.candidate} vs {spec.reference} "
-            f"({spec.title}); loss={spec.loss}, n={n_samples}, seed={seed}"
+            f"({spec.title}); loss={loss.name}, n={n_samples}, seed={seed}"
         )
         specs = [
             (spec.model_cls(*config), spec.component, (spec.candidate, spec.reference, None),

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -31,7 +30,6 @@ from .models import (
 from .specfun import gamma_median
 
 __all__ = [
-    "LossKind",
     "LossFn",
     "Estimator",
     "ClampBounds",
@@ -45,49 +43,33 @@ __all__ = [
 ]
 
 
-class LossKind(Enum):
-    LOCATION_ABS = "location_abs"
-    LOCATION_SQUARED = "location_squared"
-    SCALE_ABS = "scale_abs"
-    SCALE_SQUARED = "scale_squared"
-
-
 @dataclass(frozen=True)
 class LossFn:
-    """Loss with minimum 0 at the truth: at 0 error for location kinds, at
-    ratio 1 for scale kinds.
+    """Absolute or squared error of the estimate's contrast with the truth:
+    estimate - theta for location, estimate / theta - 1 for scale. Its
+    minimum 0 is at the truth.
     """
 
-    kind: LossKind
+    problem_kind: ProblemKind
+    squared: bool = False
 
     @property
     def name(self) -> str:
-        return self.kind.value
-
-    @property
-    def problem_kind(self) -> ProblemKind:
-        if self.kind in (LossKind.LOCATION_ABS, LossKind.LOCATION_SQUARED):
-            return ProblemKind.LOCATION
-        return ProblemKind.SCALE
+        return f"{self.problem_kind.value}_{'squared' if self.squared else 'abs'}"
 
     def evaluate(self, estimate, theta):
-        if self.kind is LossKind.LOCATION_ABS:
-            return np.abs(estimate - theta)
-        if self.kind is LossKind.LOCATION_SQUARED:
-            return (estimate - theta) ** 2
-        if self.kind is LossKind.SCALE_ABS:
-            return np.abs(estimate / theta - 1.0)
-        return (estimate / theta - 1.0) ** 2
+        kind = self.problem_kind
+        err = kind.contrast(estimate, theta) - kind.identity
+        return err ** 2 if self.squared else np.abs(err)
 
     @classmethod
     def from_name(cls, name: str) -> "LossFn":
-        try:
-            return cls(LossKind(name))
-        except ValueError:
-            valid = ", ".join(k.value for k in LossKind)
-            raise UnsupportedCaseError(
-                f"unknown loss {name!r}; valid: {valid}"
-            ) from None
+        losses = [cls(kind, squared) for kind in ProblemKind for squared in (False, True)]
+        for loss in losses:
+            if loss.name == name:
+                return loss
+        valid = ", ".join(loss.name for loss in losses)
+        raise UnsupportedCaseError(f"unknown loss {name!r}; valid: {valid}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +96,7 @@ class Estimator:
         x2 = np.asarray(x2, dtype=float)
         xi = x1 if self.target == 1 else x2
         psi = self.psi(self.kind.contrast(x2, x1))
-        out = xi - psi if self.kind is ProblemKind.LOCATION else psi * xi
+        out = self.kind.estimate(xi, psi)
         return float(out) if scalar else out
 
 
@@ -142,23 +124,19 @@ def beta_weight(alpha: float) -> float:
     return min(1.0, max(0.0, alpha))
 
 
-_LOCATION_PROBES = np.array([-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0])
-_SCALE_PROBES = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+# Contrast values at which a clamp checks its bounds, by kind.
+_BAND_PROBES = {
+    ProblemKind.LOCATION: np.array([-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0]),
+    ProblemKind.SCALE: np.array([0.25, 0.5, 1.0, 2.0, 4.0]),
+}
 
 
 def _check_band(bounds: ClampBounds, kind: ProblemKind) -> None:
-    probes = _LOCATION_PROBES if kind is ProblemKind.LOCATION else _SCALE_PROBES
+    probes = _BAND_PROBES[kind]
     lo = np.asarray(bounds.lower(probes), dtype=float)
     hi = np.asarray(bounds.upper(probes), dtype=float)
     if not np.all(lo <= hi):
         raise DomainError("clamp bounds must satisfy l(t) <= u(t)")
-
-
-def _reciprocal(x):
-    """1/x with the clamp conventions 1/0+ = +inf and 1/inf = 0."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.where(x == 0.0, np.inf, 1.0 / x)
 
 
 def clamp(base: Estimator, bounds: ClampBounds) -> Estimator:
@@ -167,14 +145,7 @@ def clamp(base: Estimator, bounds: ClampBounds) -> Estimator:
     """
     _check_band(bounds, base.kind)
     psi = base.psi
-    if base.kind is ProblemKind.LOCATION:
-        lower, upper = bounds.lower, bounds.upper
-    else:
-        def lower(t):
-            return _reciprocal(bounds.upper(t))
-
-        def upper(t):
-            return _reciprocal(bounds.lower(t))
+    lower, upper = base.kind.kernel_band(bounds.lower, bounds.upper)
 
     def clamped(t):
         return np.maximum(lower(t), np.minimum(psi(t), upper(t)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .estimators import Estimator, LossFn
-from .models import _BLOCK, ModelSpec, ProblemKind, RestrictedParams
+from .models import _BLOCK, ModelSpec, RestrictedParams
 from .quadrature import adaptive_quadrature
 
 __all__ = [
@@ -102,7 +102,7 @@ class ComparisonTask:
             raise DomainError("loss kind does not match the model kind")
         if self.n_samples < 1:
             raise DomainError(f"n_samples must be >= 1, got {self.n_samples}")
-        self.model.check_params(self.params)
+        kind.check_params(self.params)
 
 
 def gpn_monte_carlo(task: ComparisonTask) -> GpnResult:
@@ -141,32 +141,6 @@ def gpn_monte_carlo(task: ComparisonTask) -> GpnResult:
     return GpnResult.from_counts(wins, ties, task.n_samples, task.seed)
 
 
-def _halfline_g(
-    model: ModelSpec,
-    component: int,
-    lam: float,
-    t: np.ndarray,
-    xi: np.ndarray,
-    psi: np.ndarray,
-) -> np.ndarray:
-    """Conditional probability that the candidate kernel value xi beats the
-    reference value psi, given the contrast equals t. The event is the same
-    for the absolute and the squared loss of either kind.
-    """
-    equal = xi == psi
-    if model.kind is ProblemKind.LOCATION:
-        # |Z - xi| < |Z - psi| is the half-line about the midpoint on xi's side
-        edge = 0.5 * (xi + psi)
-        cdf = model.cond_cdf(component, lam, t, edge)
-        g = np.where(xi < psi, cdf, 1.0 - cdf)
-    else:
-        # |xi Z - 1| < |psi Z - 1| resolves to Z against 2/(xi + psi)
-        edge = 2.0 / (xi + psi)
-        cdf = model.cond_cdf(component, lam, t, edge)
-        g = np.where(xi > psi, cdf, 1.0 - cdf)
-    return np.where(equal, 0.5, g)
-
-
 def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
     """Deterministic GPN: the half-line event probability integrated against
     the contrast density by adaptive quadrature, with kernel breakpoints
@@ -192,7 +166,10 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
             weight = model.d_density(lam, t) * _seg.jacobian(s)
             xi = task.candidate.psi(t)
             ps = task.reference.psi(t)
-            g = _halfline_g(model, component, lam, t, xi, ps)
+            # P[candidate beats reference | D = t]: the pivot's half-line event
+            edge, below = model.kind.halfline(xi, ps)
+            cdf = model.cond_cdf(component, lam, t, edge)
+            g = np.where(xi == ps, 0.5, np.where(below, cdf, 1.0 - cdf))
             return (g - 0.5) * weight
 
         # adaptive_quadrature keeps only the cuts strictly inside the

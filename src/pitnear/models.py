@@ -3,10 +3,12 @@ given the contrast statistic, and the density of the contrast itself.
 
 Each model is an immutable spec. Location models use the contrast
 D = X2 - X1 with gap parameter lam = theta2 - theta1 >= 0; scale models use
-D = X2 / X1 with lam = theta2 / theta1 >= 1; ProblemKind holds these
-conventions. All evaluation methods accept
-scalars or ndarrays and are pure; sampling takes a caller-owned numpy
-Generator.
+D = X2 / X1 with lam = theta2 / theta1 >= 1. ProblemKind owns every rule that
+differs between the two groups: the identity gap, the contrast and its
+domain, the parameter and gap checks, the equivariant estimate X_i - psi(D)
+or psi(D) * X_i, the clamp band of a kernel and the half-line event of the
+oracle. All evaluation methods accept scalars or ndarrays and are pure;
+sampling takes a caller-owned numpy Generator.
 """
 
 from __future__ import annotations
@@ -66,6 +68,43 @@ class ProblemKind(Enum):
         """b - a for location, b / a for scale."""
         return b - a if self is ProblemKind.LOCATION else b / a
 
+    def check_contrast(self, t) -> None:
+        """A scale contrast ratio must be positive."""
+        if self is ProblemKind.SCALE and not np.all(np.asarray(t) > 0.0):
+            raise DomainError("contrast ratio t must be positive for scale models")
+
+    def check_params(self, params: "RestrictedParams") -> None:
+        """Scale parameters must be positive."""
+        if self is ProblemKind.SCALE and not params.theta1 > 0.0:
+            raise DomainError(f"scale parameters must be positive, got {params.theta1}")
+
+    def estimate(self, x, psi):
+        """The equivariant estimate from the observation x and the kernel
+        value psi: x - psi for location, psi * x for scale.
+        """
+        return x - psi if self is ProblemKind.LOCATION else psi * x
+
+    def kernel_band(self, lower, upper):
+        """The band (l, u) of a kernel whose conditional median lies between
+        the bounds lower and upper: (lower, upper) for location, (1/upper,
+        1/lower) for scale.
+        """
+        if self is ProblemKind.LOCATION:
+            return lower, upper
+        return (lambda t: _reciprocal(upper(t))), (lambda t: _reciprocal(lower(t)))
+
+    def halfline(self, xi, psi):
+        """The candidate kernel value xi beats the reference value psi when
+        the pivot Z falls on one side of an edge: (edge, True where the
+        candidate wins below it). The event is the same for the absolute and
+        the squared loss.
+        """
+        if self is ProblemKind.LOCATION:
+            # |Z - xi| < |Z - psi| is the half-line about the midpoint on xi's side
+            return 0.5 * (xi + psi), xi < psi
+        # |xi Z - 1| < |psi Z - 1| resolves to Z against 2/(xi + psi)
+        return 2.0 / (xi + psi), xi > psi
+
     def check_gap(self, gap: float) -> None:
         """The gap domain: a location gap is >= 0 and a scale gap >= 1."""
         if not gap >= self.identity:
@@ -78,6 +117,13 @@ class ProblemKind(Enum):
         """
         self.check_gap(gap)
         return RestrictedParams(self.identity, gap)
+
+
+def _reciprocal(x):
+    """1/x with the clamp conventions 1/0+ = +inf and 1/inf = 0."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(x == 0.0, np.inf, 1.0 / x)
 
 
 class Observation(NamedTuple):
@@ -99,8 +145,7 @@ class RestrictedParams:
             )
 
     def gap(self, kind: ProblemKind) -> float:
-        if kind is ProblemKind.SCALE and not self.theta1 > 0.0:
-            raise DomainError(f"scale parameters must be positive, got {self.theta1}")
+        kind.check_params(self)
         return kind.contrast(self.theta2, self.theta1)
 
     def component(self, index: int) -> float:
@@ -181,7 +226,7 @@ def _conditional(method):
         if component not in (1, 2):
             raise DomainError(f"component must be 1 or 2, got {component}")
         self.kind.check_gap(lam)
-        self._check_t(t)
+        self.kind.check_contrast(t)
         arrays = (np.asarray(x, dtype=float) for x in (t, *s))
         return _float_or_array(method(self, component, lam, *arrays))
 
@@ -194,21 +239,10 @@ def _density(method):
     @wraps(method)
     def wrapper(self, lam, t):
         self.kind.check_gap(lam)
-        self._check_t(t)
+        self.kind.check_contrast(t)
         return _float_or_array(method(self, lam, np.asarray(t, dtype=float)))
 
     return wrapper
-
-
-class _ModelBase:
-    kind: ProblemKind
-
-    def _check_t(self, t) -> None:
-        if self.kind is ProblemKind.SCALE and not np.all(np.asarray(t) > 0.0):
-            raise DomainError("contrast ratio t must be positive for scale models")
-
-    def check_params(self, params: RestrictedParams) -> None:
-        params.gap(self.kind)  # raises on a non-positive scale theta
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +251,7 @@ class _ModelBase:
 
 
 @dataclass(frozen=True)
-class BivariateNormal(_ModelBase):
+class BivariateNormal:
     """Correlated normal pair with known scales and correlation; the two
     means are the restricted parameters.
     """
@@ -256,7 +290,7 @@ class BivariateNormal(_ModelBase):
         )
 
     def sample(self, params: RestrictedParams, rng: np.random.Generator, size=None):
-        self.check_params(params)
+        self.kind.check_params(params)
         z1 = np.asarray(rng.standard_normal(size))
         z2 = np.asarray(rng.standard_normal(size))
         # Cholesky factor of the 2x2 covariance applied to (z1, z2), in place:
@@ -301,7 +335,7 @@ class BivariateNormal(_ModelBase):
 
 
 @dataclass(frozen=True)
-class ExponentialLocation(_ModelBase):
+class ExponentialLocation:
     """Independent exponentials with known scales; the two shifts are the
     restricted parameters.
     """
@@ -325,7 +359,7 @@ class ExponentialLocation(_ModelBase):
         return self.sigma1 * self.sigma2 / (self.sigma1 + self.sigma2)
 
     def sample(self, params: RestrictedParams, rng: np.random.Generator, size=None):
-        self.check_params(params)
+        self.kind.check_params(params)
         u1 = np.asarray(rng.random(size))
         u2 = np.asarray(rng.random(size))
         # x = theta - sigma log1p(-u), in place
@@ -373,7 +407,7 @@ class ExponentialLocation(_ModelBase):
 
 
 @dataclass(frozen=True)
-class GammaScale(_ModelBase):
+class GammaScale:
     """Independent gammas with known shapes; the two scales are the
     restricted parameters.
     """
@@ -405,7 +439,7 @@ class GammaScale(_ModelBase):
         )
 
     def sample(self, params: RestrictedParams, rng: np.random.Generator, size=None):
-        self.check_params(params)
+        self.kind.check_params(params)
         z1 = np.asarray(rng.standard_gamma(self.alpha1, size))
         z2 = np.asarray(rng.standard_gamma(self.alpha2, size))
         z1 *= params.theta1
@@ -449,7 +483,7 @@ class GammaScale(_ModelBase):
 
 
 @dataclass(frozen=True)
-class PowerScale(_ModelBase):
+class PowerScale:
     """Independent power-law variables with known shapes on (0, 1) cores;
     the two scales are the restricted parameters.
     """
@@ -468,7 +502,7 @@ class PowerScale(_ModelBase):
         return self.alpha1 + self.alpha2
 
     def sample(self, params: RestrictedParams, rng: np.random.Generator, size=None):
-        self.check_params(params)
+        self.kind.check_params(params)
         u1 = rng.random(size)
         u2 = rng.random(size)
         e1, e2 = 1.0 / self.alpha1, 1.0 / self.alpha2

@@ -302,7 +302,7 @@ def d_density_integral(model, lam, t, rel_tol=1e-9):
     pivot, by adaptive quadrature.
     """
     model.kind.check_gap(lam)
-    model._check_t(t)
+    model.kind.check_contrast(t)
     lo, hi, integrand = _D_INTEGRANDS[type(model)](model, lam, float(t))
     return adaptive_quadrature(
         integrand, lo, hi, abs_tol=0.0, rel_tol=rel_tol, max_panels=4000
