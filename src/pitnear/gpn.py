@@ -115,28 +115,36 @@ def gpn_monte_carlo(task: ComparisonTask) -> GpnResult:
     block size, while the temporaries stay small.
 
     A draw whose loss difference is not finite is neither a win, a tie nor
-    a loss, so any such draw fails the cell with a DomainError.
+    a loss, and a draw whose contrast lies outside its kind's domain (an
+    underflowed scale draw, say) says nothing about the model; any such
+    draw fails the cell with a DomainError. The loop counts every such
+    draw, so the numpy warnings they raise on the way are not shown.
     """
     task.validate()
+    kind = task.model.kind
     rng = np.random.default_rng(task.seed)
     x1, x2 = task.model.sample(task.params, rng, size=task.n_samples)
     theta = task.params.component(task.candidate.target)
-    wins = ties = finite = 0
-    for i in range(0, task.n_samples, _BLOCK):
-        b1, b2 = x1[i:i + _BLOCK], x2[i:i + _BLOCK]
-        loss_cand = task.loss.evaluate(task.candidate.evaluate(b1, b2), theta)
-        loss_ref = task.loss.evaluate(task.reference.evaluate(b1, b2), theta)
-        tol = np.maximum(loss_cand, loss_ref)
-        np.maximum(tol, 1.0, out=tol)
-        tol *= TIE_EPS
-        diff = loss_cand - loss_ref
-        finite += int(np.count_nonzero(np.isfinite(diff)))
-        wins += int(np.count_nonzero(diff < -tol))
-        ties += int(np.count_nonzero(np.abs(diff, out=diff) <= tol))
-    if finite < task.n_samples:
+    wins = ties = valid = 0
+    with np.errstate(all="ignore"):
+        for i in range(0, task.n_samples, _BLOCK):
+            b1, b2 = x1[i:i + _BLOCK], x2[i:i + _BLOCK]
+            loss_cand = task.loss.evaluate(task.candidate.evaluate(b1, b2), theta)
+            loss_ref = task.loss.evaluate(task.reference.evaluate(b1, b2), theta)
+            tol = np.maximum(loss_cand, loss_ref)
+            np.maximum(tol, 1.0, out=tol)
+            tol *= TIE_EPS
+            diff = loss_cand - loss_ref
+            ok = kind.in_domain(kind.contrast(b2, b1))
+            ok &= np.isfinite(diff)
+            valid += int(np.count_nonzero(ok))
+            wins += int(np.count_nonzero(diff < -tol))
+            ties += int(np.count_nonzero(np.abs(diff, out=diff) <= tol))
+    if valid < task.n_samples:
         raise DomainError(
-            f"{task.n_samples - finite} of {task.n_samples} draws give a non-finite "
-            f"loss difference for {task.candidate.name} vs {task.reference.name}"
+            f"{task.n_samples - valid} of {task.n_samples} draws give a non-finite "
+            f"loss difference or a contrast outside its domain for "
+            f"{task.candidate.name} vs {task.reference.name}"
         )
     return GpnResult.from_counts(wins, ties, task.n_samples, task.seed)
 

@@ -68,6 +68,13 @@ class ProblemKind(Enum):
         """b - a for location, b / a for scale."""
         return b - a if self is ProblemKind.LOCATION else b / a
 
+    def in_domain(self, t):
+        """Where the contrast t is finite, and for scale positive."""
+        ok = np.isfinite(t)
+        if self is ProblemKind.SCALE:
+            ok &= t > 0.0
+        return ok
+
     def check_contrast(self, t) -> None:
         """A scale contrast ratio must be positive."""
         if self is ProblemKind.SCALE and not np.all(np.asarray(t) > 0.0):

@@ -205,28 +205,42 @@ class TestCommandLine:
         assert result.exit_code == 0
         assert out.read_text().startswith("# table 1")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_losses_exit_4(self, tmp_path):
-        # at shapes this small some estimates overflow or are 0/0. Counting
-        # each NaN draw as a loss would print MC 0.366 next to oracle 0.510
-        cfg = {
-            "model": {"name": "gamma", "alpha1": 0.01, "alpha2": 0.01},
-            "component": 2,
-            "pairs": [["rmle_star", "rmle"]],
-            "gaps": [2.0],
-            "loss": "scale_abs",
-            "n_samples": 100000,
-            "seed": 1,
-            "oracle": True,
-        }
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "cfg, bad",
+        [
+            # at shapes this small some estimates overflow or are 0/0.
+            # Counting each NaN draw as a loss would print MC 0.366 next to
+            # oracle 0.510
+            ({
+                "model": {"name": "gamma", "alpha1": 0.01, "alpha2": 0.01},
+                "component": 2,
+                "pairs": [["rmle_star", "rmle"]],
+                "gaps": [2.0],
+                "loss": "scale_abs",
+                "n_samples": 100000,
+                "seed": 1,
+                "oracle": True,
+            }, 164),
+            # x1 = theta1 u^1000 underflows to 0, or x2 / x1 overflows, in
+            # about half the draws while every loss stays finite. Counting
+            # those draws would print MC 0.750 next to oracle 0.621
+            (json.loads((DATA / "run_power_underflow.json").read_text()), 49030),
+        ],
+        ids=["gamma_small_shapes", "power_underflow"],
+    )
+    def test_non_finite_losses_exit_4(self, tmp_path, cfg, bad):
         with pytest.raises(DomainError, match="non-finite"):
             run_config_dict(cfg)
-        path = tmp_path / "small_shapes.json"
+        path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         result = CliRunner().invoke(main, ["run", str(path)])
         assert result.exit_code == 4, result.output
         assert result.stdout == ""
-        assert "of 100000 draws give a non-finite loss difference" in result.stderr
+        assert result.stderr.startswith(
+            f"error: {bad} of 100000 draws give a non-finite loss difference"
+        )
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
 
     def test_invalid_table_exits_2(self):
         result = CliRunner().invoke(main, ["table", "9", "--samples", "100"])

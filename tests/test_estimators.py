@@ -60,12 +60,49 @@ def normal_configs(case):
     return ordered()
 
 
+# The loss formulas of the four names as they were written out per name.
+WRITTEN_LOSSES = {
+    "location_abs": lambda e, theta: np.abs(e - theta),
+    "location_squared": lambda e, theta: (e - theta) ** 2,
+    "scale_abs": lambda e, theta: np.abs(e / theta - 1.0),
+    "scale_squared": lambda e, theta: (e / theta - 1.0) ** 2,
+}
+
+LOSS_GRID = np.array([-np.inf, -2.5, -1e-300, -0.0, 0.0, 5e-324, 0.7, 1.0, 3.0, np.inf, np.nan])
+
+
 class TestLossFn:
     def test_names_round_trip(self):
-        for name in ("location_abs", "location_squared", "scale_abs", "scale_squared"):
+        for name in WRITTEN_LOSSES:
             assert LossFn.from_name(name).name == name
-        with pytest.raises(UnsupportedCaseError):
-            LossFn.from_name("hinge")
+        for kind in ProblemKind:
+            assert LossFn(kind) == LossFn.from_name(f"{kind.value}_abs")
+            assert LossFn(kind, squared=True) == LossFn.from_name(f"{kind.value}_squared")
+            assert LossFn(kind).problem_kind is kind
+
+    @pytest.mark.parametrize("name", ["hinge", "location", "", ["scale_abs"]])
+    def test_unknown_name(self, name):
+        message = (f"unknown loss {name!r}; valid: "
+                   "location_abs, location_squared, scale_abs, scale_squared")
+        with pytest.raises(UnsupportedCaseError) as info:
+            LossFn.from_name(name)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name", list(WRITTEN_LOSSES))
+    def test_bitwise_equal_to_written_formulas(self, name):
+        # every estimate/theta pair of a grid with signed zeros, infinities
+        # and NaN as arrays, and as Python floats where theta is not zero
+        loss, written = LossFn.from_name(name), WRITTEN_LOSSES[name]
+        e, theta = np.meshgrid(LOSS_GRID, LOSS_GRID)
+        with np.errstate(all="ignore"):
+            got, want = loss.evaluate(e, theta), written(e, theta)
+            scalars = [(loss.evaluate(a, b), written(a, b))
+                       for a in LOSS_GRID.tolist() for b in (-1.5, 2.0, math.inf)]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for g, w in scalars:
+            assert type(g) is type(w)
+            assert np.float64(g).view(np.uint64) == np.float64(w).view(np.uint64)
 
     @pytest.mark.parametrize("name", ["location_abs", "location_squared"])
     def test_location_shape(self, name):

@@ -63,6 +63,22 @@ class TestRestrictedParams:
             p.gap(ProblemKind.SCALE)
 
 
+# Per kind: estimate(x=3, psi=2); halfline(xi=1, psi=3) as (edge, candidate
+# wins below it); the kernel band of the bounds l = [0, 0.5], u = [2, inf];
+# in_domain of CONTRASTS; and whether (-1, 1) and (0, 1) are parameters.
+CONTRASTS = np.array([-1.0, -0.0, 0.0, 0.5, np.inf, -np.inf, np.nan])
+KIND_RULES = {
+    ProblemKind.LOCATION: (
+        1.0, (2.0, True), ([0.0, 0.5], [2.0, np.inf]),
+        [True, True, True, True, False, False, False], True,
+    ),
+    ProblemKind.SCALE: (
+        6.0, (0.5, False), ([0.5, 0.0], [np.inf, 2.0]),
+        [False, False, False, True, False, False, False], False,
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "kind, identity, below",
     [(ProblemKind.LOCATION, 0.0, -0.5), (ProblemKind.SCALE, 1.0, 0.5)],
@@ -80,6 +96,33 @@ def test_problem_kind_conventions(kind, identity, below):
         kind.pinned_params(below)
     with pytest.raises(DomainError):
         kind.check_gap(math.nan)
+
+    estimate, halfline, band, in_domain, signed_params = KIND_RULES[kind]
+    assert kind.estimate(3.0, 2.0) == estimate
+    edge, wins_below = kind.halfline(np.array([1.0]), np.array([3.0]))
+    assert (edge[0], wins_below[0]) == halfline
+    # for scale, 1/0 = inf and 1/inf = 0
+    lower, upper = kind.kernel_band(lambda t: np.array([0.0, 0.5]),
+                                    lambda t: np.array([2.0, np.inf]))
+    t = np.zeros(2)
+    assert lower(t).tolist() == band[0] and upper(t).tolist() == band[1]
+    assert kind.in_domain(CONTRASTS).tolist() == in_domain
+
+    kind.check_contrast(np.array([0.5, 2.0, np.inf]))
+    if kind is ProblemKind.LOCATION:
+        kind.check_contrast(CONTRASTS)
+    else:
+        for t in (0.0, -1.0, math.nan, [0.5, 0.0]):
+            with pytest.raises(DomainError, match="^contrast ratio t must be positive"):
+                kind.check_contrast(t)
+    kind.check_params(RestrictedParams(0.5, 1.0))
+    for theta1 in (-1.0, 0.0):
+        if signed_params:
+            kind.check_params(RestrictedParams(theta1, 1.0))
+        else:
+            with pytest.raises(DomainError,
+                               match=f"^scale parameters must be positive, got {theta1}$"):
+                kind.check_params(RestrictedParams(theta1, 1.0))
 
 
 class TestSpecValidation:
