@@ -1,5 +1,14 @@
 """Semantic exception hierarchy shared across the package."""
 
+__all__ = [
+    "PitnearError",
+    "DomainError",
+    "ConvergenceError",
+    "UnsupportedCaseError",
+    "UnknownEstimatorError",
+    "ConfigError",
+]
+
 
 class PitnearError(Exception):
     """Base error for this package."""

@@ -11,7 +11,6 @@ catalog.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -78,6 +77,8 @@ class Estimator:
 
     The kernel psi receives the contrast as float64 (an array, or a numpy
     scalar from scalar evaluation) and returns float64 of the same shape.
+    breakpoints holds the contrast values where psi has a kink, in any
+    order and possibly repeated; the oracle makes them panel edges.
     """
 
     name: str
@@ -155,7 +156,7 @@ def clamp(base: Estimator, bounds: ClampBounds) -> Estimator:
         target=base.target,
         kind=base.kind,
         psi=clamped,
-        breakpoints=tuple(sorted({*base.breakpoints, *bounds.breakpoints})),
+        breakpoints=base.breakpoints + bounds.breakpoints,
     )
 
 
@@ -215,8 +216,7 @@ def default_bounds(model: ModelSpec, component: int) -> ClampBounds:
 
 
 def _with_breakpoints(est: Estimator, points) -> Estimator:
-    pts = tuple(sorted({*est.breakpoints, *(p for p in points if math.isfinite(p))}))
-    return replace(est, breakpoints=pts)
+    return replace(est, breakpoints=est.breakpoints + tuple(points))
 
 
 def _normal_catalog(model: BivariateNormal, component: int) -> tuple[Estimator, ...]:
@@ -382,14 +382,11 @@ def normal_nu_family(
         raise UnsupportedCaseError(
             "no improvement family exists when the mixing coefficient is 1"
         )
-    if hp_tail:
-        if not a > 1.0:
-            raise UnsupportedCaseError(
-                "the blend-tail family requires mixing coefficient > 1"
-            )
-        if not 1.0 < nu <= a:
-            raise DomainError(f"nu must lie in (1, {a}], got {nu}")
-    elif a > 1.0:
+    if hp_tail and not a > 1.0:
+        raise UnsupportedCaseError(
+            "the blend-tail family requires mixing coefficient > 1"
+        )
+    if a > 1.0:
         if not 1.0 < nu <= a:
             raise DomainError(f"nu must lie in (1, {a}], got {nu}")
     elif a >= 0.0:

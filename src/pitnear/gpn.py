@@ -161,7 +161,7 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
     model = task.model
     component = task.candidate.target
     lam = task.params.gap(model.kind)
-    cuts = sorted({*task.candidate.breakpoints, *task.reference.breakpoints})
+    cuts = task.candidate.breakpoints + task.reference.breakpoints
     # Integrating g - 1/2 makes every region where the kernels coincide
     # contribute exactly zero, so heavy contrast tails cost nothing once the
     # clamp deactivates there.
