@@ -76,9 +76,11 @@ class ProblemKind(Enum):
         return ok
 
     def check_contrast(self, t) -> None:
-        """A scale contrast ratio must be positive."""
-        if self is ProblemKind.SCALE and not np.all(np.asarray(t) > 0.0):
-            raise DomainError("contrast ratio t must be positive for scale models")
+        """Every contrast value must lie where in_domain holds."""
+        if not np.all(self.in_domain(np.asarray(t, dtype=float))):
+            rule = ("t must be" if self is ProblemKind.LOCATION
+                    else "ratio t must be positive and")
+            raise DomainError(f"contrast {rule} finite for {self.value} models")
 
     def check_params(self, params: "RestrictedParams") -> None:
         """Scale parameters must be positive."""

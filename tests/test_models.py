@@ -108,13 +108,19 @@ def test_problem_kind_conventions(kind, identity, below):
     assert lower(t).tolist() == band[0] and upper(t).tolist() == band[1]
     assert kind.in_domain(CONTRASTS).tolist() == in_domain
 
-    kind.check_contrast(np.array([0.5, 2.0, np.inf]))
-    if kind is ProblemKind.LOCATION:
-        kind.check_contrast(CONTRASTS)
-    else:
-        for t in (0.0, -1.0, math.nan, [0.5, 0.0]):
-            with pytest.raises(DomainError, match="^contrast ratio t must be positive"):
+    # check_contrast rejects exactly what in_domain excludes
+    message = ("^contrast t must be finite" if kind is ProblemKind.LOCATION
+               else "^contrast ratio t must be positive")
+    kind.check_contrast(np.array([0.5, 2.0]))
+    kind.check_contrast(CONTRASTS[in_domain])
+    for t, ok in zip(CONTRASTS, in_domain):
+        if ok:
+            kind.check_contrast(t)
+        else:
+            with pytest.raises(DomainError, match=message):
                 kind.check_contrast(t)
+    with pytest.raises(DomainError, match=message):
+        kind.check_contrast([0.5, np.nan])
     kind.check_params(RestrictedParams(0.5, 1.0))
     for theta1 in (-1.0, 0.0):
         if signed_params:
@@ -192,6 +198,11 @@ class TestCondMedian:
             GAMMA.cond_median(1, 1.0, -1.0)
         with pytest.raises(DomainError):
             GAMMA.cond_median(3, 1.0, 1.0)
+        # a non-finite contrast is outside both kinds' domains
+        with pytest.raises(DomainError):
+            BivariateNormal(1.0, 1.0, 0.0).cond_cdf(1, 0.0, math.nan, 0.0)
+        with pytest.raises(DomainError):
+            GammaScale(1.0, 1.0).d_density(1.0, math.inf)
 
     @pytest.mark.parametrize(
         "model,component,increasing",
