@@ -65,12 +65,17 @@ class GpnResult:
     def from_counts(cls, wins: int, ties: int, n: int, seed: int) -> "GpnResult":
         # single division keeps complementary results summing to exactly 1
         estimate = (2 * wins + ties) / (2 * n)
+        # A draw scores 1, 1/2 or 0; with w and t the win and tie fractions,
+        # the score variance is w + t/4 - estimate^2. Held as the integer
+        # 4 n^2 times that, it rounds once, so a pair and its swap get the
+        # same standard error to the bit and a self-comparison gets 0.
+        var_4n2 = (4 * wins + ties) * n - (2 * wins + ties) ** 2
         return cls(
             estimate=estimate,
             win_fraction=wins / n,
             tie_fraction=ties / n,
             n_samples=n,
-            std_error=math.sqrt(max(estimate * (1.0 - estimate), 0.0) / n),
+            std_error=math.sqrt(var_4n2 / (4 * n ** 3)),
             seed=seed,
         )
 

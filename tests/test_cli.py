@@ -84,7 +84,12 @@ class TestRunTable:
         _, rows = parse_csv(text)
         for row in rows:
             v, se, n = float(row["gpn"]), float(row["std_error"]), int(row["n"])
-            assert se == pytest.approx((v * (1 - v) / n) ** 0.5, rel=1e-12, abs=1e-12)
+            # a draw scores 1, 1/2 or 0: the se is that of a three-point score
+            ties = float(row["tie_fraction"])
+            wins = v - ties / 2.0
+            assert se == pytest.approx(
+                ((wins + ties / 4.0 - v * v) / n) ** 0.5, rel=1e-12, abs=1e-12
+            )
 
 
 class TestRunConfig:

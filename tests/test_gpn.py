@@ -101,9 +101,12 @@ class TestMonteCarlo:
         r = gpn_monte_carlo(task_for(ANCHOR_GAMMA, 1.5, "rmle_star", "rmle", n=2 ** 12))
         assert r.estimate == r.win_fraction + r.tie_fraction / 2.0
         assert r.win_fraction + r.tie_fraction <= 1.0
-        assert r.std_error == pytest.approx(
-            np.sqrt(r.estimate * (1.0 - r.estimate) / r.n_samples)
-        )
+        # the plug-in se of a score in {0, 1/2, 1}, not the binomial one
+        assert r.tie_fraction > 0.0
+        assert r.std_error == pytest.approx(np.sqrt(
+            (r.win_fraction + r.tie_fraction / 4.0 - r.estimate ** 2) / r.n_samples
+        ), rel=1e-12)
+        assert r.std_error < np.sqrt(r.estimate * (1.0 - r.estimate) / r.n_samples)
         assert 0.0 <= r.estimate <= 1.0
 
     def test_deterministic_for_seed(self):
@@ -116,6 +119,7 @@ class TestMonteCarlo:
         rev = gpn_monte_carlo(task_for(ANCHOR_NORMAL, 0.5, "pnlee", "rmle", seed=17))
         assert fwd.estimate + rev.estimate == 1.0
         assert fwd.tie_fraction == rev.tie_fraction
+        assert fwd.std_error == rev.std_error
 
     @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
     @pytest.mark.parametrize(
