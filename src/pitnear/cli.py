@@ -25,7 +25,7 @@ from .errors import (
     UnknownEstimatorError,
     UnsupportedCaseError,
 )
-from .estimators import LossFn, resolve_estimator
+from .estimators import LossFn, _family_names, resolve_estimator
 from .gpn import ComparisonTask, column_tasks, derive_cell_seed, run_columns
 from .models import BivariateNormal, GammaScale, finite_number, model_from_config
 
@@ -221,6 +221,16 @@ def _column(model, pair, gaps, loss, n_samples, base_seed, index, heading) -> _C
     return _Column(heading or name, f"{name}@{heading}" if heading else name, tasks)
 
 
+def _resolve_pair(model, component, cand, ref, nu):
+    """A pair's two estimators. Only a pair that names a psi_nu family takes nu."""
+    pair = tuple(resolve_estimator(model, component, name, nu) for name in (cand, ref))
+    if nu is not None and not {cand, ref} & set(_family_names(model, component)):
+        raise UnsupportedCaseError(
+            f"pair [{cand}, {ref}] names no psi_nu family, so it takes no nu"
+        )
+    return pair
+
+
 def _model_label(model) -> str:
     # dataclass fields only: cached properties are not part of the model spec
     inner = ",".join(f"{f.name}={getattr(model, f.name):g}" for f in fields(model))
@@ -303,11 +313,11 @@ def _validate_config(cfg: dict) -> _RunPlan:
     # last: resolving builds each model's catalog, the costliest check, and
     # building the cells checks each gap against the model's domain. An
     # unknown name stays an UnknownEstimatorError; a missing nu, one outside
-    # the family's range, or a gap outside the domain is a config value error.
+    # the family's range, a nu on a pair without a family, or a gap outside
+    # the domain is a config value error.
     try:
         resolved = [
-            (resolve_estimator(model, component, cand, nu),
-             resolve_estimator(model, component, ref, nu))
+            _resolve_pair(model, component, cand, ref, nu)
             for model, component, (cand, ref, nu), *_ in specs
         ]
         columns = tuple(

@@ -107,12 +107,12 @@ class ClampBounds:
     every gap value; +-inf arms are represented as actual infinities.
 
     Like a kernel, each bound receives the contrast as float64 and returns
-    float64 of the same shape.
+    float64 of the same shape. The bounds carry no kinks: the catalog lists
+    every kink of a clamped kernel with the kernel.
     """
 
     lower: Callable[[np.ndarray], np.ndarray]
     upper: Callable[[np.ndarray], np.ndarray]
-    breakpoints: tuple[float, ...] = ()
 
 
 def _constant(c: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -151,68 +151,28 @@ def clamp(base: Estimator, bounds: ClampBounds) -> Estimator:
     def clamped(t):
         return np.maximum(lower(t), np.minimum(psi(t), upper(t)))
 
-    return Estimator(
-        name=base.name + "_star",
-        target=base.target,
-        kind=base.kind,
-        psi=clamped,
-        breakpoints=base.breakpoints + bounds.breakpoints,
-    )
+    return replace(base, name=base.name + "_star", psi=clamped)
 
 
 def default_bounds(model: ModelSpec, component: int) -> ClampBounds:
-    """The inf/sup-over-gap envelope of the conditional median for the given
-    model and component.
+    """The inf/sup-over-gap envelope of the model's conditional median for
+    the given component.
+
+    The median is monotone in the gap, so at each contrast the envelope is
+    spanned by its value at the identity gap and its limit as the gap grows
+    without bound. For every model that limit does not depend on the
+    contrast. It is NaN (0 * inf) where the median ignores the gap, and
+    fmin/fmax then return the identity-gap value.
     """
     if component not in (1, 2):
         raise UnsupportedCaseError(f"component must be 1 or 2, got {component}")
-    if isinstance(model, BivariateNormal):
-        a = model.alpha
-        slope = a - 1.0 if component == 1 else a  # median slope in t at gap 0
-        if component == 1:
-            low_finite, up_finite = a <= 1.0, a >= 1.0
-        else:
-            low_finite, up_finite = a <= 0.0, a >= 0.0
-
-        def linear(t):
-            return slope * t
-
-        return ClampBounds(
-            lower=linear if low_finite else _constant(-np.inf),
-            upper=linear if up_finite else _constant(np.inf),
-        )
-    if isinstance(model, ExponentialLocation):
-        c = model.pooled_scale * _LN2
-        if component == 1:
-            return ClampBounds(
-                lower=lambda t: np.maximum(0.0, -t) + c,
-                upper=_constant(np.inf),
-                breakpoints=(0.0,),
-            )
-        return ClampBounds(
-            lower=_constant(c),
-            upper=lambda t: np.maximum(t, 0.0) + c,
-            breakpoints=(0.0,),
-        )
-    if isinstance(model, GammaScale):
-        nu = model.pooled_median
-        if component == 1:
-            return ClampBounds(lower=lambda t: nu / (1.0 + t), upper=_constant(nu))
-        return ClampBounds(lower=_constant(0.0), upper=lambda t: nu * t / (1.0 + t))
-    if isinstance(model, PowerScale):
-        m = 2.0 ** (-1.0 / model.shape_sum)
-        if component == 1:
-            return ClampBounds(
-                lower=lambda t: m * np.minimum(1.0, 1.0 / t),
-                upper=_constant(m),
-                breakpoints=(1.0,),
-            )
-        return ClampBounds(
-            lower=_constant(0.0),
-            upper=lambda t: m * np.minimum(1.0, t),
-            breakpoints=(1.0,),
-        )
-    raise UnsupportedCaseError(f"no bounds for model {type(model).__name__}")
+    identity = model.kind.identity
+    near = functools.partial(model._median, component, identity)
+    far = float(model._median(component, np.inf, identity))
+    return ClampBounds(
+        lower=lambda t: np.fmin(near(t), far),
+        upper=lambda t: np.fmax(near(t), far),
+    )
 
 
 def _with_breakpoints(est: Estimator, points) -> Estimator:
@@ -280,12 +240,14 @@ def _exponential_catalog(
             lambda t: np.maximum(0.0, -t),
             breakpoints=(0.0,),
         )
-        pnlee_star = _with_breakpoints(clamp(pnlee, bounds), (c - s1 * _LN2,))
+        cross = c - s1 * _LN2
     else:
         pnlee = Estimator("pnlee", 2, kind, _constant(s2 * _LN2))
         rmle = Estimator("rmle", 2, kind, _constant(0.0))
-        pnlee_star = _with_breakpoints(clamp(pnlee, bounds), (s2 ** 2 * _LN2 / (s1 + s2),))
-    return pnlee, rmle, pnlee_star, clamp(rmle, bounds)
+        cross = s2 ** 2 * _LN2 / (s1 + s2)
+    # the bounds kink at 0, and pnlee crosses its bound at cross
+    pnlee_star = _with_breakpoints(clamp(pnlee, bounds), (0.0, cross))
+    return pnlee, rmle, pnlee_star, _with_breakpoints(clamp(rmle, bounds), (0.0,))
 
 
 def _gamma_catalog(model: GammaScale, component: int) -> tuple[Estimator, ...]:

@@ -227,7 +227,7 @@ def _conditional(method):
     """Argument handling shared by cond_median(component, lam, t) and
     cond_cdf(component, lam, t, s): checks the component, gap and contrast,
     passes t (and s) on as float64 arrays, and returns a 0-d result as a
-    float.
+    float. Each model's unchecked _median also takes an infinite gap.
     """
 
     @wraps(method)
@@ -316,15 +316,16 @@ class BivariateNormal:
         z1 += params.theta1
         return _observation(z1, z2)
 
-    @_conditional
-    def cond_median(self, component: int, lam: float, t):
+    def _median(self, component: int, lam: float, t):
         if component == 1:
-            return (1.0 - self.alpha) * (lam - t)
+            return (self.alpha - 1.0) * (t - lam)
         return self.alpha * (t - lam)
+
+    cond_median = _conditional(_median)
 
     @_conditional
     def cond_cdf(self, component: int, lam: float, t, s):
-        m = self.cond_median(component, lam, t)
+        m = self._median(component, lam, t)
         return normal_cdf((s - m) / self.cond_sd)
 
     @_density
@@ -385,9 +386,10 @@ class ExponentialLocation:
             return np.maximum(lam - t, 0.0)
         return np.maximum(t - lam, 0.0)
 
-    @_conditional
-    def cond_median(self, component: int, lam: float, t):
+    def _median(self, component: int, lam: float, t):
         return self._shift(component, lam, t) + self.pooled_scale * _LN2
+
+    cond_median = _conditional(_median)
 
     @_conditional
     def cond_cdf(self, component: int, lam: float, t, s):
@@ -455,12 +457,13 @@ class GammaScale:
         z2 *= params.theta2
         return _observation(z1, z2)
 
-    @_conditional
-    def cond_median(self, component: int, lam: float, t):
+    def _median(self, component: int, lam: float, t):
         nu = self.pooled_median
         if component == 1:
-            return lam * nu / (lam + t)
+            return nu / (1.0 + t / lam)
         return t * nu / (lam + t)
+
+    cond_median = _conditional(_median)
 
     def _cond_rate(self, component: int, lam: float, t):
         return 1.0 + t / lam if component == 1 else 1.0 + lam / t
@@ -528,9 +531,10 @@ class PowerScale:
         ratio = lam / t if component == 1 else t / lam
         return np.minimum(1.0, ratio)
 
-    @_conditional
-    def cond_median(self, component: int, lam: float, t):
+    def _median(self, component: int, lam: float, t):
         return 2.0 ** (-1.0 / self.shape_sum) * self._s_max(component, lam, t)
+
+    cond_median = _conditional(_median)
 
     @_conditional
     def cond_cdf(self, component: int, lam: float, t, s):

@@ -293,6 +293,18 @@ class TestCommandLine:
         assert result.exit_code == 3
         assert "valid names" in result.output
 
+    def test_nu_without_family_names_the_pair(self, tmp_path):
+        # psi_nu exists for this model, but the pair names neither family
+        cfg = {**NORMAL_SWEEP, "model": normal_model(sigma1=2.0),
+               "pairs": [["rmle", "pnlee", 1e300]], "n_samples": 100}
+        path = tmp_path / "nu.json"
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            "error: pair [rmle, pnlee] names no psi_nu family, so it takes no nu\n"
+        )
+
     def test_squared_loss_oracle_runs(self, tmp_path):
         cfg = tmp_path / "squared.json"
         cfg.write_text(
@@ -368,6 +380,8 @@ class TestCommandLine:
             {**NORMAL_SWEEP, "model": normal_model(sigma1=2.0), "pairs": [["psi_nu", "pnlee"]]},
             {**NORMAL_SWEEP, "model": normal_model(sigma1=2.0),
              "pairs": [["psi_nu", "pnlee", 1.5]]},
+            {**NORMAL_SWEEP, "model": normal_model(sigma1=2.0),
+             "pairs": [["rmle", "pnlee", 0.5]]},
             # rejected before any draw: 2**62 draws would fail in numpy
             {"n_samples": 2 ** 62},
             {"n_samples": 2 ** 100},
@@ -379,7 +393,8 @@ class TestCommandLine:
             "shape_bool", "shape_string", "shape_nan", "shape_infinity", "model_name_list",
             "shape_negative", "scale_bool", "rho_string", "rho_infinity", "rho_out_of_range",
             "loss_unknown", "loss_not_string", "loss_kind_mismatch", "nu_missing",
-            "nu_out_of_range", "n_samples_2e62", "n_samples_2e100", "pairs_empty",
+            "nu_out_of_range", "nu_without_family", "n_samples_2e62", "n_samples_2e100",
+            "pairs_empty",
         ],
     )
     def test_config_type_error_exits_2(self, tmp_path, overrides):

@@ -263,6 +263,41 @@ def test_clamp_band_follows_kernel_kind(kind, want_lo, want_hi):
     assert high.psi(BAND_T).tobytes() == np.array(want_hi).tobytes()
 
 
+def closed_form_bounds(model, component):
+    """The envelope over the gap of each model's conditional median, written
+    out per model: (lower, upper) as functions of the contrast t.
+    """
+
+    def const(c):
+        return lambda t: np.full_like(t, c)
+
+    if isinstance(model, BivariateNormal):
+        # the median is linear in t, and the gap pushes it off to one side
+        # unless its slope in the gap is 0
+        a = model.alpha
+        slope, flat = (a - 1.0, 1.0) if component == 1 else (a, 0.0)
+
+        def linear(t):
+            return slope * t
+
+        return (linear if a <= flat else const(-np.inf),
+                linear if a >= flat else const(np.inf))
+    if isinstance(model, ExponentialLocation):
+        c = model.pooled_scale * LN2
+        if component == 1:
+            return (lambda t: np.maximum(0.0, -t) + c), const(np.inf)
+        return const(c), (lambda t: np.maximum(t, 0.0) + c)
+    if isinstance(model, GammaScale):
+        nu = model.pooled_median
+        if component == 1:
+            return (lambda t: nu / (1.0 + t)), const(nu)
+        return const(0.0), (lambda t: nu * t / (1.0 + t))
+    m = 2.0 ** (-1.0 / model.shape_sum)
+    if component == 1:
+        return (lambda t: m * np.minimum(1.0, 1.0 / t)), const(m)
+    return const(0.0), (lambda t: m * np.minimum(1.0, t))
+
+
 class TestDefaultBounds:
     def test_normal_small_alpha_arms(self):
         bounds = default_bounds(NORMAL_HALF, 1)
@@ -270,13 +305,35 @@ class TestDefaultBounds:
         assert np.allclose(bounds.lower(t), -0.5 * t)
         assert np.all(np.isinf(bounds.upper(t)))
 
-    def test_normal_alpha_one_degenerate(self):
-        m = BivariateNormal(1.0, 1.0, 0.999999)  # alpha -> 1 exactly at rho=1 limit
-        # construct an exact alpha == 1 case instead: sigma2 = sigma1, rho = 0 gives 1/2,
-        # so use the closed form check on a model with alpha above and below 1
-        t = np.array([-1.0, 2.0])
-        b = default_bounds(m, 1)
-        assert np.all(b.lower(t) <= b.upper(t))
+    @pytest.mark.parametrize(
+        "model",
+        [
+            BivariateNormal(0.5, 5.0, 0.9),  # alpha > 1
+            NORMAL_HALF,  # 0 < alpha < 1
+            BivariateNormal(5.0, 0.5, 0.9),  # alpha < 0
+            BivariateNormal(1.0, 2.0, 0.5),  # alpha exactly 1
+            BivariateNormal(2.0, 1.0, 0.5),  # alpha exactly 0
+            ExponentialLocation(1.0, 2.0),
+            ExponentialLocation(30.0, 40.0),
+            GammaScale(0.5, 0.2),
+            GammaScale(30.0, 1.0),
+            PowerScale(1.0, 1.0),
+            PowerScale(2.0, 0.5),
+        ],
+    )
+    @pytest.mark.parametrize("component", [1, 2])
+    def test_bounds_match_closed_forms_bit_for_bit(self, model, component):
+        # a scale contrast is a ratio of nonnegative draws, so its grid is
+        # t >= 0: the domain and the underflow edge 0
+        if model.kind is ProblemKind.LOCATION:
+            t = np.array([-1e200, -3.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 2.0, 1e200])
+        else:
+            t = np.array([0.0, 1e-300, 0.25, 1.0, 2.0, 1e200])
+        lower, upper = closed_form_bounds(model, component)
+        b = default_bounds(model, component)
+        with np.errstate(divide="ignore"):
+            assert np.asarray(b.lower(t)).tobytes() == np.asarray(lower(t)).tobytes()
+            assert np.asarray(b.upper(t)).tobytes() == np.asarray(upper(t)).tobytes()
 
     def test_exponential_component2(self):
         m = ExponentialLocation(2.0, 3.0)

@@ -214,6 +214,15 @@ class TestOracle:
             # refines as a long chain of bisections toward the s -> 0 endpoint
             (GammaScale(0.5, 0.2), 1, "rmle_star", "rmle"),
             (BivariateNormal(80.0, 30.0, 0.0), 1, "rmle", "pnlee"),
+            # clamped stars of all four models, whose band is read from the
+            # model's conditional median and whose kinks the catalog lists
+            (ExponentialLocation(30.0, 40.0), 1, "pnlee_star", "pnlee"),
+            (ExponentialLocation(30.0, 40.0), 2, "rmle_star", "rmle"),
+            # moves by 1.6e-5 at gap 0.5 if the bound's kink at 0 is not listed
+            (ExponentialLocation(30.0, 40.0), 2, "pnlee_star", "pnlee"),
+            (PowerScale(2.0, 0.5), 1, "pnsee_star", "pnsee"),
+            (GammaScale(30.0, 1.0), 2, "rmle_star", "rmle"),
+            (BivariateNormal(1.0, 80.0, 0.5), 1, "hp_star", "hp"),
         ],
     )
     def test_certification_references_pinned(self, model, component, cand, ref):
