@@ -3,8 +3,8 @@ constructor.
 
 Location estimators have the equivariant form X_i - psi(D) with D = X2 - X1;
 scale estimators the form psi(D) * X_i with D = X2 / X1 and psi > 0. The
-clamp constructor projects a kernel onto the band spanned by the
-conditional-median bounds, which is what produces the *_star entries of the
+clamp constructor projects a kernel onto the band of its model's conditional
+median over the gap, which is what produces the *_star entries of the
 catalog.
 """
 
@@ -31,10 +31,8 @@ from .specfun import gamma_median
 __all__ = [
     "LossFn",
     "Estimator",
-    "ClampBounds",
     "beta_weight",
     "clamp",
-    "default_bounds",
     "catalog",
     "normal_nu_family",
     "resolve_estimator",
@@ -101,22 +99,8 @@ class Estimator:
         return float(out) if scalar else out
 
 
-@dataclass(frozen=True)
-class ClampBounds:
-    """Extended-real bounds (l, u) bracketing the conditional median for
-    every gap value; +-inf arms are represented as actual infinities.
-
-    Like a kernel, each bound receives the contrast as float64 and returns
-    float64 of the same shape. The bounds carry no kinks: the catalog lists
-    every kink of a clamped kernel with the kernel.
-    """
-
-    lower: Callable[[np.ndarray], np.ndarray]
-    upper: Callable[[np.ndarray], np.ndarray]
-
-
 def _constant(c: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The kernel or bound that is c at every contrast value."""
+    """The kernel that is c at every contrast value."""
     return lambda t: np.full_like(t, c)
 
 
@@ -125,54 +109,36 @@ def beta_weight(alpha: float) -> float:
     return min(1.0, max(0.0, alpha))
 
 
-# Contrast values at which a clamp checks its bounds, by kind.
-_BAND_PROBES = {
-    ProblemKind.LOCATION: np.array([-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0]),
-    ProblemKind.SCALE: np.array([0.25, 0.5, 1.0, 2.0, 4.0]),
-}
+def clamp(base: Estimator, model: ModelSpec) -> Estimator:
+    """Project a kernel onto the band of its model's conditional median for
+    the kernel's target: [l(t), u(t)] for a location kernel and [1/u(t),
+    1/l(t)] for a scale kernel, where l and u are the inf and sup of the
+    median over the gap.
 
-
-def _check_band(bounds: ClampBounds, kind: ProblemKind) -> None:
-    probes = _BAND_PROBES[kind]
-    lo = np.asarray(bounds.lower(probes), dtype=float)
-    hi = np.asarray(bounds.upper(probes), dtype=float)
-    if not np.all(lo <= hi):
-        raise DomainError("clamp bounds must satisfy l(t) <= u(t)")
-
-
-def clamp(base: Estimator, bounds: ClampBounds) -> Estimator:
-    """Project a kernel onto the band of its kind: [l(t), u(t)] for a
-    location kernel, [1/u(t), 1/l(t)] for a scale kernel.
-    """
-    _check_band(bounds, base.kind)
-    psi = base.psi
-    lower, upper = base.kind.kernel_band(bounds.lower, bounds.upper)
-
-    def clamped(t):
-        return np.maximum(lower(t), np.minimum(psi(t), upper(t)))
-
-    return replace(base, name=base.name + "_star", psi=clamped)
-
-
-def default_bounds(model: ModelSpec, component: int) -> ClampBounds:
-    """The inf/sup-over-gap envelope of the model's conditional median for
-    the given component.
-
-    The median is monotone in the gap, so at each contrast the envelope is
+    The median is monotone in the gap, so at each contrast the band is
     spanned by its value at the identity gap and its limit as the gap grows
     without bound. For every model that limit does not depend on the
     contrast. It is NaN (0 * inf) where the median ignores the gap, and
-    fmin/fmax then return the identity-gap value.
+    fmin/fmax then return the identity-gap value. The clamped kernel lists
+    the median's kinks among its breakpoints; where the kernel crosses the
+    band is for the caller to list.
     """
-    if component not in (1, 2):
-        raise UnsupportedCaseError(f"component must be 1 or 2, got {component}")
-    identity = model.kind.identity
-    near = functools.partial(model._median, component, identity)
-    far = float(model._median(component, np.inf, identity))
-    return ClampBounds(
-        lower=lambda t: np.fmin(near(t), far),
-        upper=lambda t: np.fmax(near(t), far),
-    )
+    if base.kind is not model.kind:
+        raise DomainError("estimator kind does not match the model kind")
+    component, kind, psi = base.target, base.kind, base.psi
+    median, identity = model._median, kind.identity
+    far = float(median(component, np.inf, identity))
+
+    def clamped(t):
+        # near(t), the median at the identity gap, is a fresh array: the
+        # lower end takes over its buffer, and no other name keeps it alive
+        lower = np.asarray(median(component, identity, t))
+        upper = np.fmax(lower, far)
+        lower, upper = kind.kernel_band(np.fmin(lower, far, out=lower), upper)
+        return np.maximum(lower, np.minimum(psi(t), upper))
+
+    return replace(base, name=base.name + "_star", psi=clamped,
+                   breakpoints=base.breakpoints + model.median_kinks)
 
 
 def _with_breakpoints(est: Estimator, points) -> Estimator:
@@ -183,7 +149,6 @@ def _normal_catalog(model: BivariateNormal, component: int) -> tuple[Estimator, 
     a = model.alpha
     b = beta_weight(a)
     kind = ProblemKind.LOCATION
-    bounds = default_bounds(model, component)
     if component == 1:
         pnlee = Estimator("pnlee", 1, kind, _constant(0.0))
         rmle = Estimator(
@@ -203,7 +168,7 @@ def _normal_catalog(model: BivariateNormal, component: int) -> tuple[Estimator, 
         )
         if a > 1.0:
             # hp_star: the linear blend
-            return pnlee, rmle, hp, pdt, clamp(hp, bounds)
+            return pnlee, rmle, hp, pdt, clamp(hp, model)
         return pnlee, rmle, hp, pdt
     pnlee = Estimator("pnlee", 2, kind, _constant(0.0))
     rmle = Estimator(
@@ -221,8 +186,8 @@ def _normal_catalog(model: BivariateNormal, component: int) -> tuple[Estimator, 
         lambda t: -b * np.maximum(0.0, -t),
         breakpoints=(0.0,),
     )
-    pnlee_star = _with_breakpoints(clamp(pnlee, bounds), (0.0,))
-    rmle_star = clamp(rmle, bounds)
+    pnlee_star = _with_breakpoints(clamp(pnlee, model), (0.0,))
+    rmle_star = clamp(rmle, model)
     return pnlee, rmle, hp, pdt, pnlee_star, rmle_star
 
 
@@ -232,7 +197,6 @@ def _exponential_catalog(
     kind = ProblemKind.LOCATION
     s1, s2 = model.sigma1, model.sigma2
     c = model.pooled_scale * _LN2
-    bounds = default_bounds(model, component)
     if component == 1:
         pnlee = Estimator("pnlee", 1, kind, _constant(s1 * _LN2))
         rmle = Estimator(
@@ -245,9 +209,9 @@ def _exponential_catalog(
         pnlee = Estimator("pnlee", 2, kind, _constant(s2 * _LN2))
         rmle = Estimator("rmle", 2, kind, _constant(0.0))
         cross = s2 ** 2 * _LN2 / (s1 + s2)
-    # the bounds kink at 0, and pnlee crosses its bound at cross
-    pnlee_star = _with_breakpoints(clamp(pnlee, bounds), (0.0, cross))
-    return pnlee, rmle, pnlee_star, _with_breakpoints(clamp(rmle, bounds), (0.0,))
+    # pnlee crosses its bound at cross
+    pnlee_star = _with_breakpoints(clamp(pnlee, model), (cross,))
+    return pnlee, rmle, pnlee_star, clamp(rmle, model)
 
 
 def _gamma_catalog(model: GammaScale, component: int) -> tuple[Estimator, ...]:
@@ -255,7 +219,6 @@ def _gamma_catalog(model: GammaScale, component: int) -> tuple[Estimator, ...]:
     a1, a2 = model.alpha1, model.alpha2
     asum = a1 + a2
     nu = model.pooled_median
-    bounds = default_bounds(model, component)
     if component == 1:
         nu1 = gamma_median(a1)
         ue = Estimator("ue", 1, kind, _constant(1.0 / a1))
@@ -265,9 +228,9 @@ def _gamma_catalog(model: GammaScale, component: int) -> tuple[Estimator, ...]:
             lambda t: np.minimum(1.0 / a1, (1.0 + t) / asum),
             breakpoints=(a2 / a1,),
         )
-        rmle_star = _with_breakpoints(clamp(rmle, bounds), (asum / nu - 1.0,))
-        pnsee_star = _with_breakpoints(clamp(pnsee, bounds), (nu / nu1 - 1.0,))
-        ue_star = _with_breakpoints(clamp(ue, bounds), (nu / a1 - 1.0,))
+        rmle_star = _with_breakpoints(clamp(rmle, model), (asum / nu - 1.0,))
+        pnsee_star = _with_breakpoints(clamp(pnsee, model), (nu / nu1 - 1.0,))
+        ue_star = _with_breakpoints(clamp(ue, model), (nu / a1 - 1.0,))
         return ue, pnsee, rmle, rmle_star, pnsee_star, ue_star
     nu2 = gamma_median(a2)
     ue = Estimator("ue", 2, kind, _constant(1.0 / a2))
@@ -278,11 +241,11 @@ def _gamma_catalog(model: GammaScale, component: int) -> tuple[Estimator, ...]:
         breakpoints=(a2 / a1,),
     )
     rmle_star = _with_breakpoints(
-        clamp(rmle, bounds),
+        clamp(rmle, model),
         (a2 / (nu - a2),) if nu > a2 else (),
     )
     pnsee_star = _with_breakpoints(
-        clamp(pnsee, bounds),
+        clamp(pnsee, model),
         (nu2 / (nu - nu2),) if nu > nu2 else (),
     )
     return ue, pnsee, rmle, rmle_star, pnsee_star
@@ -292,14 +255,13 @@ def _power_catalog(model: PowerScale, component: int) -> tuple[Estimator, ...]:
     kind = ProblemKind.SCALE
     a1, a2 = model.alpha1, model.alpha2
     asum = model.shape_sum
-    bounds = default_bounds(model, component)
     if component == 1:
         pnsee = Estimator("pnsee", 1, kind, _constant(2.0 ** (1.0 / a1)))
-        cuts = (1.0, 2.0 ** (a2 / (a1 * asum)))
+        cross = 2.0 ** (a2 / (a1 * asum))
     else:
         pnsee = Estimator("pnsee", 2, kind, _constant(2.0 ** (1.0 / a2)))
-        cuts = (1.0, 2.0 ** (-a1 / (a2 * asum)))
-    return pnsee, _with_breakpoints(clamp(pnsee, bounds), cuts)
+        cross = 2.0 ** (-a1 / (a2 * asum))
+    return pnsee, _with_breakpoints(clamp(pnsee, model), (cross,))
 
 
 # Distinct (model, component) catalogs kept by the memo. Models are frozen

@@ -7,8 +7,9 @@ D = X2 / X1 with lam = theta2 / theta1 >= 1. ProblemKind owns every rule that
 differs between the two groups: the identity gap, the contrast and its
 domain, the parameter and gap checks, the equivariant estimate X_i - psi(D)
 or psi(D) * X_i, the clamp band of a kernel and the half-line event of the
-oracle. All evaluation methods accept scalars or ndarrays and are pure;
-sampling takes a caller-owned numpy Generator.
+oracle. All evaluation methods accept scalars or ndarrays and are pure.
+Sampling draws arrays only: size draws of each component from a
+caller-owned numpy Generator, returned as the pair (x1, x2).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, wraps
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .specfun import gamma_median, gammaln, normal_cdf, regularized_gamma_p
 
 __all__ = [
     "ProblemKind",
-    "Observation",
     "RestrictedParams",
     "QuadSegment",
     "BivariateNormal",
@@ -95,12 +95,12 @@ class ProblemKind(Enum):
 
     def kernel_band(self, lower, upper):
         """The band (l, u) of a kernel whose conditional median lies between
-        the bounds lower and upper: (lower, upper) for location, (1/upper,
+        the arrays lower and upper: (lower, upper) for location, (1/upper,
         1/lower) for scale.
         """
         if self is ProblemKind.LOCATION:
             return lower, upper
-        return (lambda t: _reciprocal(upper(t))), (lambda t: _reciprocal(lower(t)))
+        return _reciprocal(upper), _reciprocal(lower)
 
     def halfline(self, xi, psi):
         """The candidate kernel value xi beats the reference value psi when
@@ -133,11 +133,6 @@ def _reciprocal(x):
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
         return np.where(x == 0.0, np.inf, 1.0 / x)
-
-
-class Observation(NamedTuple):
-    x1: Union[float, np.ndarray]
-    x2: Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -215,14 +210,6 @@ def _float_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _observation(x1: np.ndarray, x2: np.ndarray) -> Observation:
-    """The observation that sampling built in place in the arrays of its raw
-    draws; a scalar draw (size=None), held as a 0-d array or a float, leaves
-    as a Python float.
-    """
-    return Observation(_float_or_array(x1), _float_or_array(x2))
-
-
 def _conditional(method):
     """Argument handling shared by cond_median(component, lam, t) and
     cond_cdf(component, lam, t, s): checks the component, gap and contrast,
@@ -270,6 +257,9 @@ class BivariateNormal:
     rho: float
 
     kind = ProblemKind.LOCATION
+    # The contrast values where the median at the identity gap has a kink;
+    # clamp lists them among a clamped kernel's breakpoints.
+    median_kinks = ()
 
     def __post_init__(self):
         if not (self.sigma1 > 0.0 and self.sigma2 > 0.0):
@@ -298,23 +288,22 @@ class BivariateNormal:
             (1.0 - self.rho ** 2) * self.sigma1 ** 2 * self.sigma2 ** 2 / self.tau2
         )
 
-    def sample(self, params: RestrictedParams, rng: np.random.Generator, size=None):
+    def sample(self, params: RestrictedParams, rng: np.random.Generator, size: int):
         self.kind.check_params(params)
-        z1 = np.asarray(rng.standard_normal(size))
-        z2 = np.asarray(rng.standard_normal(size))
+        z1 = rng.standard_normal(size)
+        z2 = rng.standard_normal(size)
         # Cholesky factor of the 2x2 covariance applied to (z1, z2), in place:
         # x2 = theta2 + sigma2 (rho z1 + sqrt(1 - rho^2) z2), then
         # x1 = theta1 + sigma1 z1. The rho z1 term is added block by block,
         # so no third full-length array is live.
         z2 *= math.sqrt(1.0 - self.rho ** 2)
-        flat1, flat2 = z1.reshape(-1), z2.reshape(-1)
-        for i in range(0, flat2.size, _BLOCK):
-            flat2[i:i + _BLOCK] += self.rho * flat1[i:i + _BLOCK]
+        for i in range(0, size, _BLOCK):
+            z2[i:i + _BLOCK] += self.rho * z1[i:i + _BLOCK]
         z2 *= self.sigma2
         z2 += params.theta2
         z1 *= self.sigma1
         z1 += params.theta1
-        return _observation(z1, z2)
+        return z1, z2
 
     def _median(self, component: int, lam: float, t):
         if component == 1:
@@ -354,6 +343,7 @@ class ExponentialLocation:
     sigma2: float
 
     kind = ProblemKind.LOCATION
+    median_kinks = (0.0,)
 
     def __post_init__(self):
         if not (self.sigma1 > 0.0 and self.sigma2 > 0.0):
@@ -368,10 +358,10 @@ class ExponentialLocation:
         # sigma1 sigma2 / (sigma1 + sigma2), the conditional pivot scale
         return self.sigma1 * self.sigma2 / (self.sigma1 + self.sigma2)
 
-    def sample(self, params: RestrictedParams, rng: np.random.Generator, size=None):
+    def sample(self, params: RestrictedParams, rng: np.random.Generator, size: int):
         self.kind.check_params(params)
-        u1 = np.asarray(rng.random(size))
-        u2 = np.asarray(rng.random(size))
+        u1 = rng.random(size)
+        u2 = rng.random(size)
         # x = theta - sigma log1p(-u), in place
         for u, theta, sigma in ((u1, params.theta1, self.sigma1),
                                 (u2, params.theta2, self.sigma2)):
@@ -379,7 +369,7 @@ class ExponentialLocation:
             np.log1p(u, out=u)
             u *= sigma
             np.subtract(theta, u, out=u)
-        return _observation(u1, u2)
+        return u1, u2
 
     def _shift(self, component: int, lam: float, t):
         if component == 1:
@@ -427,6 +417,7 @@ class GammaScale:
     alpha2: float
 
     kind = ProblemKind.SCALE
+    median_kinks = ()
 
     def __post_init__(self):
         if not (self.alpha1 > 0.0 and self.alpha2 > 0.0):
@@ -449,13 +440,13 @@ class GammaScale:
             - gammaln(self.alpha1 + self.alpha2)
         )
 
-    def sample(self, params: RestrictedParams, rng: np.random.Generator, size=None):
+    def sample(self, params: RestrictedParams, rng: np.random.Generator, size: int):
         self.kind.check_params(params)
-        z1 = np.asarray(rng.standard_gamma(self.alpha1, size))
-        z2 = np.asarray(rng.standard_gamma(self.alpha2, size))
+        z1 = rng.standard_gamma(self.alpha1, size)
+        z2 = rng.standard_gamma(self.alpha2, size)
         z1 *= params.theta1
         z2 *= params.theta2
-        return _observation(z1, z2)
+        return z1, z2
 
     def _median(self, component: int, lam: float, t):
         nu = self.pooled_median
@@ -504,6 +495,7 @@ class PowerScale:
     alpha2: float
 
     kind = ProblemKind.SCALE
+    median_kinks = (1.0,)
 
     def __post_init__(self):
         if not (self.alpha1 > 0.0 and self.alpha2 > 0.0):
@@ -513,19 +505,18 @@ class PowerScale:
     def shape_sum(self) -> float:
         return self.alpha1 + self.alpha2
 
-    def sample(self, params: RestrictedParams, rng: np.random.Generator, size=None):
+    def sample(self, params: RestrictedParams, rng: np.random.Generator, size: int):
         self.kind.check_params(params)
         u1 = rng.random(size)
         u2 = rng.random(size)
         e1, e2 = 1.0 / self.alpha1, 1.0 / self.alpha2
         # x = theta u^(1/alpha), in place; **= keeps numpy's fast paths for
-        # the exponents 0.5, 1 and 2 that ** takes. A scalar draw is a
-        # Python float, so it takes Python's pow, as the expression does.
+        # the exponents 0.5, 1 and 2 that ** takes.
         u1 **= e1
         u2 **= e2
         u1 *= params.theta1
         u2 *= params.theta2
-        return _observation(u1, u2)
+        return u1, u2
 
     def _s_max(self, component: int, lam: float, t):
         ratio = lam / t if component == 1 else t / lam

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from pitnear.errors import DomainError, UnknownEstimatorError, UnsupportedCaseError
 from pitnear.estimators import (
-    ClampBounds,
     Estimator,
     LossFn,
     beta_weight,
     catalog,
     clamp,
-    default_bounds,
     estimator_names,
     normal_nu_family,
     resolve_estimator,
@@ -135,18 +133,16 @@ class TestLossFn:
 class TestClampLocation:
     def test_case_one_anchor(self):
         # clamping the zero kernel reproduces the restricted-MLE kernel
-        bounds = default_bounds(NORMAL_HALF, 1)
         pnlee = resolve_estimator(NORMAL_HALF, 1, "pnlee")
-        star = clamp(pnlee, bounds)
+        star = clamp(pnlee, NORMAL_HALF)
         assert star.psi(np.array(-2.0)) == pytest.approx(1.0)
         rmle = resolve_estimator(NORMAL_HALF, 1, "rmle")
         t = np.linspace(-6.0, 6.0, 101)
         assert np.allclose(star.psi(t), rmle.psi(t), rtol=0, atol=0)
 
     def test_identity_on_band(self):
-        bounds = default_bounds(NORMAL_HALF, 1)
         rmle = resolve_estimator(NORMAL_HALF, 1, "rmle")
-        star = clamp(rmle, bounds)
+        star = clamp(rmle, NORMAL_HALF)
         t = np.linspace(-6.0, 6.0, 101)
         assert np.array_equal(star.psi(t), rmle.psi(t))
 
@@ -190,10 +186,9 @@ class TestClampLocation:
         star = resolve_estimator(NORMAL_HALF, 2, "pnlee_star")
         assert star.name.endswith("_star")
 
-    def test_invalid_band_rejected(self):
-        bad = ClampBounds(lower=lambda t: np.ones_like(t), upper=lambda t: np.zeros_like(t))
+    def test_kind_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            clamp(resolve_estimator(NORMAL_HALF, 1, "pnlee"), bad)
+            clamp(resolve_estimator(NORMAL_HALF, 1, "pnlee"), GammaScale(1.0, 1.0))
 
 
 class TestClampScale:
@@ -221,7 +216,7 @@ class TestClampScale:
     def test_identity_on_band(self):
         g = GammaScale(1.0, 1.0)
         star = resolve_estimator(g, 1, "rmle_star")
-        restar = clamp(star, default_bounds(g, 1))
+        restar = clamp(star, g)
         t = np.linspace(0.05, 8.0, 101)
         assert np.array_equal(restar.psi(t), star.psi(t))
 
@@ -235,32 +230,39 @@ class TestClampScale:
         assert np.allclose(star.evaluate(x1, x2), want, rtol=1e-12)
 
 
-# One pair of bounds for both kinds. On BAND_T its lower arm reaches 0 and
-# its upper arm +inf, so the scale band meets the conventions 1/0 = inf and
-# 1/inf = 0.
-BAND_T = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
-BAND_BOUNDS = ClampBounds(
-    lower=lambda t: np.where(np.abs(t) < 1.0, 0.0, np.abs(t)),
-    upper=lambda t: np.where(np.abs(t) > 2.0, np.inf, np.abs(t) + 1.0),
-)
+def clamp_band(model, component, t):
+    """The band that clamp projects a kernel of the model's component onto,
+    at the contrasts t: where a kernel at -inf and one at +inf land.
+    """
+    kind = model.kind
+    low = clamp(Estimator("low", component, kind, lambda t: np.full_like(t, -np.inf)), model)
+    high = clamp(Estimator("high", component, kind, lambda t: np.full_like(t, np.inf)), model)
+    return low.psi(t), high.psi(t)
+
+
+C_HALF = 0.5 * LN2    # the median at the identity of ExponentialLocation(1, 1)
+M_HALF = 2.0 ** -0.5  # the median's factor for PowerScale(1, 1)
 
 
 @pytest.mark.parametrize(
-    "kind, want_lo, want_hi",
+    "model, component, t, want_lo, want_hi",
     [
-        (ProblemKind.LOCATION, [0.0, 0.0, 1.0, 2.0, 4.0], [1.25, 1.5, 2.0, 3.0, math.inf]),
-        (ProblemKind.SCALE, [1 / 1.25, 1 / 1.5, 1 / 2.0, 1 / 3.0, 0.0],
-         [math.inf, math.inf, 1.0, 0.5, 0.25]),
+        (ExponentialLocation(1.0, 1.0), 1, [-2.0, -0.5, 0.0, 1.0],
+         [2.0 + C_HALF, 0.5 + C_HALF, C_HALF, C_HALF], [math.inf] * 4),
+        (PowerScale(1.0, 1.0), 2, [0.25, 0.5, 1.0, 2.0, 4.0],
+         [1 / (M_HALF * 0.25), 1 / (M_HALF * 0.5), 1 / M_HALF, 1 / M_HALF, 1 / M_HALF],
+         [math.inf] * 5),
     ],
     ids=["location", "scale"],
 )
-def test_clamp_band_follows_kernel_kind(kind, want_lo, want_hi):
-    # [l, u] for a location kernel and [1/u, 1/l] for a scale kernel, bit for
-    # bit: a kernel at -inf lands on the lower edge, one at +inf on the upper
-    low = clamp(Estimator("low", 1, kind, lambda t: np.full_like(t, -np.inf)), BAND_BOUNDS)
-    high = clamp(Estimator("high", 1, kind, lambda t: np.full_like(t, np.inf)), BAND_BOUNDS)
-    assert low.psi(BAND_T).tobytes() == np.array(want_lo).tobytes()
-    assert high.psi(BAND_T).tobytes() == np.array(want_hi).tobytes()
+def test_clamp_band_follows_kernel_kind(model, component, t, want_lo, want_hi):
+    # the median's band [l, u] for a location kernel and [1/u, 1/l] for a
+    # scale kernel, bit for bit: the exponential's runs from the
+    # identity-gap median to +inf, the power model's from 0 (so 1/0 = inf)
+    # to the identity-gap median
+    lo, hi = clamp_band(model, component, np.array(t))
+    assert lo.tobytes() == np.array(want_lo).tobytes()
+    assert hi.tobytes() == np.array(want_hi).tobytes()
 
 
 def closed_form_bounds(model, component):
@@ -298,12 +300,42 @@ def closed_form_bounds(model, component):
     return const(0.0), (lambda t: m * np.minimum(1.0, t))
 
 
-class TestDefaultBounds:
+class TestMedianBand:
+    def test_median_read_once_per_call(self):
+        calls = []
+
+        class CountingGamma(GammaScale):
+            def _median(self, component, lam, t):
+                calls.append(lam)
+                return super()._median(component, lam, t)
+
+        half = Estimator("half", 2, ProblemKind.SCALE, lambda t: np.full_like(t, 0.5))
+        star = clamp(half, CountingGamma(2.0, 1.5))
+        assert calls == [math.inf]  # the band's far end, once, at construction
+        calls.clear()
+        star.psi(np.array([0.5, 2.0]))
+        star.evaluate(1.0, 3.0)
+        assert calls == [1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "model, kinks",
+        [
+            (NORMAL_HALF, ()),
+            (ExponentialLocation(1.0, 2.0), (0.0,)),  # the identity gap
+            (GammaScale(1.0, 1.0), ()),
+            (PowerScale(1.0, 1.0), (1.0,)),           # the identity gap
+        ],
+    )
+    def test_median_kinks_join_breakpoints(self, model, kinks):
+        est = Estimator("base", 1, model.kind, lambda t: np.full_like(t, 0.5), (0.5,))
+        assert model.median_kinks == kinks
+        assert clamp(est, model).breakpoints == (0.5,) + kinks
+
     def test_normal_small_alpha_arms(self):
-        bounds = default_bounds(NORMAL_HALF, 1)
         t = np.array([-2.0, 0.0, 3.0])
-        assert np.allclose(bounds.lower(t), -0.5 * t)
-        assert np.all(np.isinf(bounds.upper(t)))
+        lo, hi = clamp_band(NORMAL_HALF, 1, t)
+        assert np.allclose(lo, -0.5 * t)
+        assert np.all(np.isinf(hi))
 
     @pytest.mark.parametrize(
         "model",
@@ -330,18 +362,22 @@ class TestDefaultBounds:
         else:
             t = np.array([0.0, 1e-300, 0.25, 1.0, 2.0, 1e200])
         lower, upper = closed_form_bounds(model, component)
-        b = default_bounds(model, component)
         with np.errstate(divide="ignore"):
-            assert np.asarray(b.lower(t)).tobytes() == np.asarray(lower(t)).tobytes()
-            assert np.asarray(b.upper(t)).tobytes() == np.asarray(upper(t)).tobytes()
+            lo, hi = clamp_band(model, component, t)
+            want_lo, want_hi = lower(t), upper(t)
+            if model.kind is ProblemKind.SCALE:
+                # a scale kernel's band is [1/u, 1/l], with 1/0 = inf and 1/inf = 0
+                want_lo, want_hi = 1.0 / want_hi, 1.0 / want_lo
+        assert lo.tobytes() == np.asarray(want_lo).tobytes()
+        assert hi.tobytes() == np.asarray(want_hi).tobytes()
 
     def test_exponential_component2(self):
         m = ExponentialLocation(2.0, 3.0)
         c = m.pooled_scale * LN2
-        b = default_bounds(m, 2)
         t = np.array([-4.0, 0.0, 2.5])
-        assert np.allclose(b.lower(t), c)
-        assert np.allclose(b.upper(t), np.maximum(t, 0.0) + c)
+        lo, hi = clamp_band(m, 2, t)
+        assert np.allclose(lo, c)
+        assert np.allclose(hi, np.maximum(t, 0.0) + c)
 
     @pytest.mark.parametrize(
         "model",
@@ -364,17 +400,13 @@ class TestDefaultBounds:
         else:
             lams = [1.0, 1.4, 3.0, 20.0]
             ts = [0.1, 0.6, 1.0, 2.2, 9.0]
-        b = default_bounds(model, component)
+        t = np.array(ts)
+        lo, hi = clamp_band(model, component, t)
+        if model.kind is ProblemKind.SCALE:
+            lo, hi = 1.0 / hi, 1.0 / lo  # the median's band; 1/inf = 0
         for lam in lams:
-            for t in ts:
-                m = model.cond_median(component, lam, t)
-                ta = np.asarray(t, dtype=float)
-                assert float(b.lower(ta)) <= m + 1e-12
-                assert m <= float(b.upper(ta)) + 1e-12
-
-    def test_unsupported_component(self):
-        with pytest.raises(UnsupportedCaseError):
-            default_bounds(NORMAL_HALF, 3)
+            m = model.cond_median(component, lam, t)
+            assert np.all(lo <= m + 1e-12) and np.all(m <= hi + 1e-12)
 
 
 class TestCatalog:
@@ -559,18 +591,12 @@ CLAMP_CASES = [
 def test_clamp_idempotent_and_in_band(t):
     for model, component in CLAMP_CASES:
         tt = np.asarray(abs(t) + 0.01 if model.kind is ProblemKind.SCALE else t)
-        bounds = default_bounds(model, component)
+        lo, hi = map(float, clamp_band(model, component, tt))
         for est in catalog(model, component):
-            once = clamp(est, bounds)
-            twice = clamp(once, bounds)
+            once = clamp(est, model)
+            twice = clamp(once, model)
             v1, v2 = float(once.psi(tt)), float(twice.psi(tt))
             assert v1 == v2
-            if model.kind is ProblemKind.LOCATION:
-                lo, hi = float(bounds.lower(tt)), float(bounds.upper(tt))
-            else:
-                lo = 1.0 / float(bounds.upper(tt))
-                u = float(bounds.lower(tt))
-                hi = math.inf if u == 0.0 else 1.0 / u
             assert lo - 1e-12 <= v1 <= hi + 1e-12
 
 
