@@ -240,6 +240,20 @@ def clamp_band(model, component, t):
     return low.psi(t), high.psi(t)
 
 
+BAND_MODELS = [
+    BivariateNormal(0.5, 5.0, 0.9),  # alpha > 1
+    NORMAL_HALF,  # 0 < alpha < 1
+    BivariateNormal(5.0, 0.5, 0.9),  # alpha < 0
+    BivariateNormal(1.0, 2.0, 0.5),  # alpha exactly 1
+    BivariateNormal(2.0, 1.0, 0.5),  # alpha exactly 0
+    ExponentialLocation(1.0, 2.0),
+    ExponentialLocation(30.0, 40.0),
+    GammaScale(0.5, 0.2),
+    GammaScale(30.0, 1.0),
+    PowerScale(1.0, 1.0),
+    PowerScale(2.0, 0.5),
+]
+
 C_HALF = 0.5 * LN2    # the median at the identity of ExponentialLocation(1, 1)
 M_HALF = 2.0 ** -0.5  # the median's factor for PowerScale(1, 1)
 
@@ -331,28 +345,39 @@ class TestMedianBand:
         assert model.median_kinks == kinks
         assert clamp(est, model).breakpoints == (0.5,) + kinks
 
+    @pytest.mark.parametrize("model", BAND_MODELS)
+    @pytest.mark.parametrize("component", [1, 2])
+    def test_median_kinks_are_the_bands_kinks(self, model, component):
+        # the band's slope jumps at each of the model's median_kinks and
+        # nowhere else, so the quadrature splits a clamped kernel at them
+        h = 1e-7
+
+        def slope_jump(t):
+            jumps = []
+            for left, mid, right in zip(*(clamp_band(model, component, t + d)
+                                          for d in (-h, 0.0, h))):
+                with np.errstate(invalid="ignore"):
+                    jump = np.abs((right - mid) - (mid - left)) / h
+                jumps.append(np.where(np.isfinite(mid), jump, 0.0))  # an infinite end
+            return np.maximum(*jumps)
+
+        if model.kind is ProblemKind.LOCATION:
+            grid = np.linspace(-5.0, 5.0, 40)
+        else:
+            grid = np.exp(np.linspace(-2.0, 2.0, 40))
+        # the identity is where a median that kinks does so
+        grid = np.union1d(grid, (model.kind.identity,) + model.median_kinks)
+        jump = slope_jump(grid)
+        at_kink = np.isin(grid, model.median_kinks)
+        assert np.all(jump[at_kink] > 0.5) and np.all(jump[~at_kink] < 1e-2)
+
     def test_normal_small_alpha_arms(self):
         t = np.array([-2.0, 0.0, 3.0])
         lo, hi = clamp_band(NORMAL_HALF, 1, t)
         assert np.allclose(lo, -0.5 * t)
         assert np.all(np.isinf(hi))
 
-    @pytest.mark.parametrize(
-        "model",
-        [
-            BivariateNormal(0.5, 5.0, 0.9),  # alpha > 1
-            NORMAL_HALF,  # 0 < alpha < 1
-            BivariateNormal(5.0, 0.5, 0.9),  # alpha < 0
-            BivariateNormal(1.0, 2.0, 0.5),  # alpha exactly 1
-            BivariateNormal(2.0, 1.0, 0.5),  # alpha exactly 0
-            ExponentialLocation(1.0, 2.0),
-            ExponentialLocation(30.0, 40.0),
-            GammaScale(0.5, 0.2),
-            GammaScale(30.0, 1.0),
-            PowerScale(1.0, 1.0),
-            PowerScale(2.0, 0.5),
-        ],
-    )
+    @pytest.mark.parametrize("model", BAND_MODELS)
     @pytest.mark.parametrize("component", [1, 2])
     def test_bounds_match_closed_forms_bit_for_bit(self, model, component):
         # a scale contrast is a ratio of nonnegative draws, so its grid is
