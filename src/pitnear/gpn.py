@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -110,10 +112,19 @@ class ComparisonTask:
         kind.check_params(self.params)
 
 
-def gpn_monte_carlo(task: ComparisonTask) -> GpnResult:
+def gpn_monte_carlo(
+    task: ComparisonTask, draws: Optional[tuple[np.ndarray, np.ndarray]] = None
+) -> GpnResult:
     """Estimate GPN by paired sampling: both estimators are evaluated on the
     same draws, which makes the win/loss/tie partition shared and slashes
     variance. Deterministic for a fixed seed.
+
+    The draws are the model's draws at the identity gap from the task's
+    seed, moved block by block to the task's parameters by kind.move, the
+    last operation every sampler applies; so they are, bit for bit, the
+    draws sample makes at those parameters from that seed. run_columns
+    draws once for cells that share a seed and passes those identity-gap
+    draws to each of them as draws.
 
     The draws are compared block by block. Every step is element-wise with
     exactly rounded IEEE operations, so the counts do not depend on the
@@ -126,14 +137,20 @@ def gpn_monte_carlo(task: ComparisonTask) -> GpnResult:
     draw, so the numpy warnings they raise on the way are not shown.
     """
     task.validate()
+    n = task.n_samples
+    x1, x2 = _identity_draws(task) if draws is None else draws
+    if not len(x1) == len(x2) == n:
+        raise DomainError(f"draws of lengths {len(x1)} and {len(x2)} for a cell of {n}")
     kind = task.model.kind
-    rng = np.random.default_rng(task.seed)
-    x1, x2 = task.model.sample(task.params, rng, size=task.n_samples)
+    theta1, theta2 = task.params.theta1, task.params.theta2
     theta = task.params.component(task.candidate.target)
+    buf1, buf2 = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
     wins = ties = valid = 0
     with np.errstate(all="ignore"):
-        for i in range(0, task.n_samples, _BLOCK):
-            b1, b2 = x1[i:i + _BLOCK], x2[i:i + _BLOCK]
+        for i in range(0, n, _BLOCK):
+            m = min(n - i, _BLOCK)
+            b1 = kind.move(x1[i:i + m], theta1, out=buf1[:m])
+            b2 = kind.move(x2[i:i + m], theta2, out=buf2[:m])
             loss_cand = task.loss.evaluate(task.candidate.evaluate(b1, b2), theta)
             loss_ref = task.loss.evaluate(task.reference.evaluate(b1, b2), theta)
             tol = np.maximum(loss_cand, loss_ref)
@@ -145,13 +162,20 @@ def gpn_monte_carlo(task: ComparisonTask) -> GpnResult:
             valid += int(np.count_nonzero(ok))
             wins += int(np.count_nonzero(diff < -tol))
             ties += int(np.count_nonzero(np.abs(diff, out=diff) <= tol))
-    if valid < task.n_samples:
+    if valid < n:
         raise DomainError(
-            f"{task.n_samples - valid} of {task.n_samples} draws give a non-finite "
+            f"{n - valid} of {n} draws give a non-finite "
             f"loss difference or a contrast outside its domain for "
             f"{task.candidate.name} vs {task.reference.name}"
         )
-    return GpnResult.from_counts(wins, ties, task.n_samples, task.seed)
+    return GpnResult.from_counts(wins, ties, n, task.seed)
+
+
+def _identity_draws(task: ComparisonTask) -> tuple[np.ndarray, np.ndarray]:
+    """The task's model sampled at the identity gap from the task's seed."""
+    kind = task.model.kind
+    rng = np.random.default_rng(task.seed)
+    return task.model.sample(kind.pinned_params(kind.identity), rng, size=task.n_samples)
 
 
 def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
@@ -205,8 +229,9 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
 
 
 def derive_cell_seed(base_seed: int, pair_index: int, gap_index: int) -> int:
-    """Deterministic 64-bit per-cell seed from the base seed and the cell's
-    (pair, gap) indices; distinct cells get independent streams.
+    """Deterministic 64-bit seed from the base seed and two indices; distinct
+    index pairs get independent streams. A column_tasks column runs on the
+    seed of its (pair, 0) indices.
     """
     ss = np.random.SeedSequence([base_seed % 2 ** 64, pair_index, gap_index])
     return int(ss.generate_state(1, np.uint64)[0])
@@ -222,10 +247,14 @@ def column_tasks(
     base_seed: int,
     pair_index: int,
 ) -> tuple[ComparisonTask, ...]:
-    """One column: the cells of one pair over the gaps in order, each on the
-    seed derived from the base seed and its (pair, gap) indices. A gap
-    outside the model's domain raises here, before any cell runs.
+    """One column: the cells of one pair over the gaps in order, all on the
+    column's seed, the one derived from the base seed and (pair, 0). Its
+    cells share their draws (common random numbers): each cell's draws are
+    the column's identity-gap draws moved to its gap, so the differences
+    between gaps carry little sampling noise. A gap outside the model's
+    domain raises here, before any cell runs.
     """
+    seed = derive_cell_seed(base_seed, pair_index, 0)
     return tuple(
         ComparisonTask(
             model=model,
@@ -234,9 +263,9 @@ def column_tasks(
             reference=reference,
             loss=loss,
             n_samples=n_samples,
-            seed=derive_cell_seed(base_seed, pair_index, j),
+            seed=seed,
         )
-        for j, gap in enumerate(gaps)
+        for gap in gaps
     )
 
 
@@ -246,31 +275,63 @@ def run_columns(
     """Monte Carlo GPN of every cell, with its oracle value when asked: one
     list per column, in cell order.
 
-    The Monte Carlo cells of all columns run on one pool of one thread per
-    usable CPU (numpy releases the GIL while it draws and computes), and
-    each cell owns its generator, so the results do not depend on the
-    thread count. The calling thread collects the cells in order and
-    computes each oracle value as its cell arrives, so the first error
+    Each run of consecutive cells of a column that share their model, seed
+    and sample count is one job, which draws once and runs its cells on
+    those draws in turn; every cell's result equals gpn_monte_carlo of the
+    cell alone, so it depends neither on the grouping nor on the thread
+    count. A column_tasks column is one job; a column of distinct seeds is
+    one job per cell. The jobs run on one pool of one thread per usable CPU
+    (numpy releases the GIL while it draws and computes), each holding one
+    job's draws at a time. The calling thread collects the cells in order
+    and computes each oracle value as its cell arrives, so the first error
     raised is the one a serial loop would raise; any error cancels the
     cells not yet started.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    n_cells = sum(len(column) for column in columns)
-    if not n_cells:
+    jobs = [list(job) for column in columns
+            for _, job in groupby(column, key=lambda t: (t.model, t.seed, t.n_samples))]
+    if not jobs:
         return [[] for _ in columns]
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), n_cells)) as pool:
+    failed = threading.Event()
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(jobs))) as pool:
         try:
-            futures = [[pool.submit(gpn_monte_carlo, task) for task in column]
-                       for column in columns]
-            return [
-                [(future.result(), gpn_oracle(task) if oracle else None)
-                 for task, future in zip(column, column_futures)]
-                for column, column_futures in zip(columns, futures)
-            ]
+            futures = [pool.submit(_run_job, job, failed) for job in jobs]
+            outcomes = (outcome for future in futures for outcome in future.result())
+            return [[_collect(task, next(outcomes), oracle) for task in column]
+                    for column in columns]
         except BaseException:
+            failed.set()
             pool.shutdown(cancel_futures=True)
             raise
+
+
+def _run_job(job: list[ComparisonTask], failed: threading.Event) -> list:
+    """The job's cells in order on one draw, each a GpnResult or the error
+    it raised; stops after the first error, or once the runner has failed.
+    """
+    outcomes: list = []
+    draws = None
+    for task in job:
+        if failed.is_set():
+            break
+        try:
+            if draws is None:
+                task.validate()
+                draws = _identity_draws(task)
+            # called through the module global, which a tracer may replace
+            outcomes.append(gpn_monte_carlo(task, draws))
+        except Exception as error:
+            outcomes.append(error)
+            break
+    return outcomes
+
+
+def _collect(task: ComparisonTask, outcome, oracle: bool) -> tuple[GpnResult, Optional[float]]:
+    """A cell's result with its oracle value, or the cell's error raised."""
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome, gpn_oracle(task) if oracle else None
 
 
 def _usable_cpus() -> int:

@@ -4,11 +4,11 @@ given the contrast statistic, and the density of the contrast itself.
 Each model is an immutable spec. Location models use the contrast
 D = X2 - X1 with gap parameter lam = theta2 - theta1 >= 0; scale models use
 D = X2 / X1 with lam = theta2 / theta1 >= 1. ProblemKind owns every rule that
-differs between the two groups: the identity gap, the contrast and its
-domain, the parameter and gap checks, the equivariant estimate X_i - psi(D)
-or psi(D) * X_i, the clamp band of a kernel and the half-line event of the
-oracle. All evaluation methods accept scalars or ndarrays and are pure.
-Sampling draws arrays only: size draws of each component from a
+differs between the two groups: the identity gap, the contrast, its domain
+and its inverse, the parameter and gap checks, the equivariant estimate
+X_i - psi(D) or psi(D) * X_i, the clamp band of a kernel and the half-line
+event of the oracle. All evaluation methods accept scalars or ndarrays and
+are pure. Sampling draws arrays only: size draws of each component from a
 caller-owned numpy Generator, returned as the pair (x1, x2).
 """
 
@@ -67,6 +67,16 @@ class ProblemKind(Enum):
     def contrast(self, b, a):
         """b - a for location, b / a for scale."""
         return b - a if self is ProblemKind.LOCATION else b / a
+
+    def move(self, x, theta, out=None):
+        """The inverse of contrast: x + theta for location, x * theta for
+        scale. It moves draws made at the identity parameter to theta with
+        the operation each model's sample applies last, so the moved draws
+        equal those sample draws at theta from the same generator state.
+        """
+        if self is ProblemKind.LOCATION:
+            return np.add(x, theta, out=out)
+        return np.multiply(x, theta, out=out)
 
     def in_domain(self, t):
         """Where the contrast t is finite, and for scale positive."""

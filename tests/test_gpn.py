@@ -148,6 +148,12 @@ class TestMonteCarlo:
         with pytest.raises(DomainError, match=f"^{bad} of {n} draws give a non-finite"):
             gpn_monte_carlo(task)
 
+    def test_draws_must_match_the_sample_count(self):
+        task = task_for(ANCHOR_NORMAL, 0.5, "rmle", "pnlee", n=64)
+        draws = ANCHOR_NORMAL.sample(RestrictedParams(0.0, 0.0), np.random.default_rng(1), 63)
+        with pytest.raises(DomainError, match="lengths 63 and 63 for a cell of 64"):
+            gpn_monte_carlo(task, draws)
+
     def test_validation_errors(self):
         cand = resolve_estimator(ANCHOR_NORMAL, 1, "rmle")
         ref2 = resolve_estimator(ANCHOR_NORMAL, 2, "pnlee")
@@ -366,9 +372,9 @@ class TestRunColumns:
             [
                 ComparisonTask(
                     ANCHOR_NORMAL, RestrictedParams(0.0, gap), cand, ref, LOC_ABS,
-                    n_samples=n, seed=derive_cell_seed(7, i, j),
+                    n_samples=n, seed=derive_cell_seed(7, i, 0),
                 )
-                for j, gap in enumerate(gaps)
+                for gap in gaps
             ]
             for i, (cand, ref) in enumerate(pairs)
         ]
@@ -376,6 +382,57 @@ class TestRunColumns:
         assert [[r for r, _ in column] for column in run_columns(columns)] == [
             [gpn_monte_carlo(t) for t in column] for column in tasks
         ]
+
+    @pytest.mark.parametrize("n", [1, 2 ** 14 - 1, 2 ** 14 + 1, 3 * 2 ** 14 + 5])
+    @pytest.mark.parametrize(
+        "model, component, names, gaps",
+        [
+            (ANCHOR_NORMAL, 1, ("rmle", "pnlee"), [0.0, 0.5, 2.0]),
+            (ExponentialLocation(1.0, 2.0), 1, ("pnlee_star", "pnlee"), [0.0, 0.5, 2.0]),
+            (GammaScale(0.5, 0.2), 2, ("rmle_star", "rmle"), [1.0, 2.0, 5.0]),
+            (PowerScale(2.0, 0.5), 2, ("pnsee_star", "pnsee"), [1.0, 1.5, 4.0]),
+        ],
+    )
+    def test_column_cells_equal_lone_cells(self, model, component, names, gaps, n):
+        # a column draws once and moves the draws to each gap; every cell
+        # equals the cell run alone, and the comparison on sample's own
+        # draws at the cell's parameters
+        cand, ref = (resolve_estimator(model, component, name) for name in names)
+        loss = LOC_ABS if model.kind is ProblemKind.LOCATION else SCALE_ABS
+        column = column_tasks(model, cand, ref, gaps, loss, n, 5, 3)
+        [cells] = run_columns([column])
+        for task, (result, _) in zip(column, cells):
+            assert result == gpn_monte_carlo(task) == unblocked_monte_carlo(task)
+
+    def test_one_draw_per_run_of_shared_seeds(self, monkeypatch):
+        # a job is a run of consecutive cells that share model, seed and
+        # sample count: a column_tasks column draws once, and a mixed column
+        # of seeds (11, 11, 12, 11), off the pinned points, draws three
+        # times; every cell still equals the cell run alone and the
+        # comparison on sample's own draws at its parameters
+        seeds = []
+        identity_draws = gpn._identity_draws
+
+        def counting(task):
+            seeds.append(task.seed)
+            return identity_draws(task)
+
+        monkeypatch.setattr(gpn, "_identity_draws", counting)
+        cand = resolve_estimator(ANCHOR_NORMAL, 1, "rmle")
+        ref = resolve_estimator(ANCHOR_NORMAL, 1, "pnlee")
+        mixed = [
+            ComparisonTask(ANCHOR_NORMAL, RestrictedParams(-1.5, theta2), cand, ref, LOC_ABS,
+                           n_samples=2 ** 10, seed=seed)
+            for theta2, seed in [(-1.5, 11), (-0.5, 11), (-1.0, 12), (0.5, 11)]
+        ]
+        column = column_tasks(ANCHOR_NORMAL, cand, ref, [0.5 * k for k in range(7)],
+                              LOC_ABS, 2 ** 10, 42, 0)
+        results = run_columns([mixed, column])
+        assert sorted(seeds) == sorted([11, 12, 11, derive_cell_seed(42, 0, 0)])
+        assert [[r for r, _ in cells] for cells in results] == [
+            [gpn_monte_carlo(t) for t in mixed], [gpn_monte_carlo(t) for t in column],
+        ]
+        assert [r for r, _ in results[0]] == [unblocked_monte_carlo(t) for t in mixed]
 
     def test_oracle_cells_match_cell_by_cell(self):
         pair = [
@@ -438,6 +495,30 @@ class TestRunColumns:
         with pytest.raises(FloatingPointError):
             run_columns([first, rest])
         assert len(ran) < 7
+
+    def test_job_stops_at_its_first_failing_cell(self):
+        # cells that share a seed run as one job, in order; the cells behind
+        # a failing one never run
+        ran = []
+
+        def failing_psi(t):
+            raise FloatingPointError("kernel failed")
+
+        def recording_psi(t):
+            ran.append(t.size)
+            return t
+
+        ref = resolve_estimator(ANCHOR_NORMAL, 1, "pnlee")
+        column = [
+            ComparisonTask(ANCHOR_NORMAL, RestrictedParams(0.0, 0.5 * k),
+                           Estimator(name, 1, ProblemKind.LOCATION, psi), ref, LOC_ABS,
+                           n_samples=64, seed=3)
+            for k, (name, psi) in enumerate([("failing", failing_psi)]
+                                            + [("recording", recording_psi)] * 3)
+        ]
+        with pytest.raises(FloatingPointError):
+            run_columns([column])
+        assert ran == []
 
     def test_cell_seeds_distinct(self):
         seeds = {derive_cell_seed(42, i, j) for i in range(4) for j in range(8)}

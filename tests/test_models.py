@@ -510,6 +510,21 @@ class TestSampling:
         assert x1.dtype == np.float64 and x1.shape == (size,)
         assert np.array_equal(x1, e1) and np.array_equal(x2, e2)
 
+    @pytest.mark.parametrize("model", SAMPLING_MODELS + [PowerScale(0.001, 1.0)], ids=repr)
+    @pytest.mark.parametrize("size", [1, 2 ** 14 - 1, 2 ** 14 + 1, 3 * 2 ** 14 + 5])
+    def test_moved_identity_draws_are_bytewise_the_draws_at_theta(self, model, size):
+        # the Monte Carlo engine draws a column once at the identity gap and
+        # moves the draws to each cell's parameters with kind.move; the bytes
+        # must equal sample's at those parameters from the same seed, zeros
+        # of PowerScale(0.001, 1)'s underflowed draws included
+        kind = model.kind
+        i1, i2 = model.sample(kind.pinned_params(kind.identity), np.random.default_rng(33), size)
+        for params in (kind.pinned_params(kind.identity), kind.pinned_params(3.5),
+                       _sampling_params(model)):
+            x1, x2 = model.sample(params, np.random.default_rng(33), size)
+            assert kind.move(i1, params.theta1).tobytes() == x1.tobytes()
+            assert kind.move(i2, params.theta2).tobytes() == x2.tobytes()
+
 
 def _sampling_params(model):
     if model.kind is ProblemKind.LOCATION:
