@@ -1,15 +1,16 @@
 """Generalized Pitman nearness of one estimator relative to another:
 P[L(cand) < L(ref)] + P[L(cand) = L(ref)] / 2.
 
-Two evaluation routes are provided and kept independent: a seeded, paired
-Monte Carlo engine, and a deterministic quadrature oracle that integrates the
-closed-form half-line event probability against the contrast density. Both
-serve every loss name: GPN depends on a loss only through its ordering, and
-each squared loss is a strictly increasing transform of its absolute one.
+Both evaluation routes decide a comparison by the pivot's half-line event,
+ProblemKind.halfline: a seeded, paired Monte Carlo engine counts the draws on
+each side of its edge, and a deterministic quadrature oracle integrates its
+probability against the contrast density. Neither evaluates the loss: GPN
+depends on a loss only through its ordering, the same for every loss name.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -35,11 +36,6 @@ __all__ = [
     "LOCATION_DOMINANCE_GAPS",
     "SCALE_DOMINANCE_GAPS",
 ]
-
-# Relative tolerance for calling two loss values a tie. Algebraically equal
-# piecewise branches produce bit-identical arithmetic in practice; the
-# tolerance guards against association-order differences.
-TIE_EPS = 1e-12
 
 # Gap grids on which clamp dominance is certified numerically. The theorems
 # hold for every gap; these grids are the finite stand-in, with the two
@@ -115,58 +111,53 @@ class ComparisonTask:
 def gpn_monte_carlo(
     task: ComparisonTask, draws: Optional[tuple[np.ndarray, np.ndarray]] = None
 ) -> GpnResult:
-    """Estimate GPN by paired sampling: both estimators are evaluated on the
-    same draws, which makes the win/loss/tie partition shared and slashes
-    variance. Deterministic for a fixed seed.
+    """Estimate GPN by paired sampling: both kernels are evaluated on the
+    same draws, so the win/tie/loss partition is shared and the variance
+    small. Deterministic for a fixed seed.
 
     The draws are the model's draws at the identity gap from the task's
     seed, moved block by block to the task's parameters by kind.move, the
     last operation every sampler applies; so they are, bit for bit, the
     draws sample makes at those parameters from that seed. run_columns
-    draws once for cells that share a seed and passes those identity-gap
-    draws to each of them as draws.
+    draws once for cells that share a seed and passes them on as draws.
 
-    The draws are compared block by block. Every step is element-wise with
-    exactly rounded IEEE operations, so the counts do not depend on the
-    block size, while the temporaries stay small.
+    Each draw is decided by kind.halfline on the kernels at its contrast; a
+    draw where the kernels agree or the pivot lands on the edge is a tie, so
+    a pair and its swap sum to exactly 1. Every step is element-wise and
+    exactly rounded, so the counts do not depend on the block size.
 
-    A draw whose loss difference is not finite is neither a win, a tie nor
-    a loss, and a draw whose contrast lies outside its kind's domain (an
-    underflowed scale draw, say) says nothing about the model; any such
-    draw fails the cell with a DomainError. The loop counts every such
-    draw, so the numpy warnings they raise on the way are not shown.
+    A draw with a non-finite kernel value is neither a win, a tie nor a
+    loss, and one with a contrast outside its kind's domain (an underflowed
+    scale draw, say) says nothing about the model: the cell fails with a
+    DomainError that counts them, and their numpy warnings are not shown.
     """
     task.validate()
     n = task.n_samples
     x1, x2 = _identity_draws(task) if draws is None else draws
     if not len(x1) == len(x2) == n:
         raise DomainError(f"draws of lengths {len(x1)} and {len(x2)} for a cell of {n}")
-    kind = task.model.kind
-    theta1, theta2 = task.params.theta1, task.params.theta2
-    theta = task.params.component(task.candidate.target)
+    kind, params, target = task.model.kind, task.params, task.candidate.target
+    theta = params.component(target)
     buf1, buf2 = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
     wins = ties = valid = 0
     with np.errstate(all="ignore"):
         for i in range(0, n, _BLOCK):
             m = min(n - i, _BLOCK)
-            b1 = kind.move(x1[i:i + m], theta1, out=buf1[:m])
-            b2 = kind.move(x2[i:i + m], theta2, out=buf2[:m])
-            loss_cand = task.loss.evaluate(task.candidate.evaluate(b1, b2), theta)
-            loss_ref = task.loss.evaluate(task.reference.evaluate(b1, b2), theta)
-            tol = np.maximum(loss_cand, loss_ref)
-            np.maximum(tol, 1.0, out=tol)
-            tol *= TIE_EPS
-            diff = loss_cand - loss_ref
-            ok = kind.in_domain(kind.contrast(b2, b1))
-            ok &= np.isfinite(diff)
+            b1 = kind.move(x1[i:i + m], params.theta1, out=buf1[:m])
+            b2 = kind.move(x2[i:i + m], params.theta2, out=buf2[:m])
+            t = kind.contrast(b2, b1)
+            xi, ps = task.candidate.psi(t), task.reference.psi(t)
+            edge, below = kind.halfline(xi, ps)
+            z = kind.contrast(b1 if target == 1 else b2, theta)
+            tie = (xi == ps) | (z == edge)
+            ok = kind.in_domain(t) & np.isfinite(xi) & np.isfinite(ps)
             valid += int(np.count_nonzero(ok))
-            wins += int(np.count_nonzero(diff < -tol))
-            ties += int(np.count_nonzero(np.abs(diff, out=diff) <= tol))
+            wins += int(np.count_nonzero(((z < edge) == below) & ~tie))
+            ties += int(np.count_nonzero(tie))
     if valid < n:
         raise DomainError(
-            f"{n - valid} of {n} draws give a non-finite "
-            f"loss difference or a contrast outside its domain for "
-            f"{task.candidate.name} vs {task.reference.name}"
+            f"{n - valid} of {n} draws give a non-finite kernel value or a contrast "
+            f"outside its domain for {task.candidate.name} vs {task.reference.name}"
         )
     return GpnResult.from_counts(wins, ties, n, task.seed)
 
@@ -280,30 +271,38 @@ def run_columns(
     those draws in turn; every cell's result equals gpn_monte_carlo of the
     cell alone, so it depends neither on the grouping nor on the thread
     count. A column_tasks column is one job; a column of distinct seeds is
-    one job per cell. The jobs run on one pool of one thread per usable CPU
-    (numpy releases the GIL while it draws and computes), each holding one
-    job's draws at a time. The calling thread collects the cells in order
-    and computes each oracle value as its cell arrives, so the first error
-    raised is the one a serial loop would raise; any error cancels the
-    cells not yet started.
+    one job per cell. The jobs run on the process's pool of one thread per
+    usable CPU (numpy releases the GIL while it draws and computes), each
+    holding one job's draws at a time. The calling thread collects the cells
+    in order and computes each oracle value as its cell arrives, so the
+    first error raised is the one a serial loop would raise; any error
+    cancels the cells not yet started.
+    """
+    jobs = [list(job) for column in columns
+            for _, job in groupby(column, key=lambda t: (t.model, t.seed, t.n_samples))]
+    pool = _pool(_usable_cpus())
+    failed = threading.Event()
+    futures = [pool.submit(_run_job, job, failed) for job in jobs]
+    try:
+        outcomes = (outcome for future in futures for outcome in future.result())
+        return [[_collect(task, next(outcomes), oracle) for task in column]
+                for column in columns]
+    except BaseException:
+        # the pool outlives the call: a running job stops after its cell
+        failed.set()
+        for future in futures:
+            future.cancel()
+        raise
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(workers: int):
+    """The process's pool of that many threads, kept across calls: a fresh
+    thread may take a fresh malloc arena that stays resident.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    jobs = [list(job) for column in columns
-            for _, job in groupby(column, key=lambda t: (t.model, t.seed, t.n_samples))]
-    if not jobs:
-        return [[] for _ in columns]
-    failed = threading.Event()
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(jobs))) as pool:
-        try:
-            futures = [pool.submit(_run_job, job, failed) for job in jobs]
-            outcomes = (outcome for future in futures for outcome in future.result())
-            return [[_collect(task, next(outcomes), oracle) for task in column]
-                    for column in columns]
-        except BaseException:
-            failed.set()
-            pool.shutdown(cancel_futures=True)
-            raise
+    return ThreadPoolExecutor(max_workers=workers)
 
 
 def _run_job(job: list[ComparisonTask], failed: threading.Event) -> list:

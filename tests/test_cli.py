@@ -214,9 +214,8 @@ class TestCommandLine:
     @pytest.mark.parametrize(
         "cfg, bad",
         [
-            # at shapes this small some estimates overflow or are 0/0.
-            # Counting each NaN draw as a loss would print MC 0.366 next to
-            # oracle 0.510
+            # at shapes this small 145 contrasts are 0/0, x/0 or 0 from
+            # underflowed draws, and 19 give a kernel value that overflows
             ({
                 "model": {"name": "gamma", "alpha1": 0.01, "alpha2": 0.01},
                 "component": 2,
@@ -228,8 +227,7 @@ class TestCommandLine:
                 "oracle": True,
             }, 164),
             # x1 = theta1 u^1000 underflows to 0, or x2 / x1 overflows, in
-            # about half the draws while every loss stays finite. Counting
-            # those draws would print MC 0.750 next to oracle 0.621
+            # about half the draws
             (json.loads((DATA / "run_power_underflow.json").read_text()), 49030),
         ],
         ids=["gamma_small_shapes", "power_underflow"],
@@ -243,7 +241,8 @@ class TestCommandLine:
         assert result.exit_code == 4, result.output
         assert result.stdout == ""
         assert result.stderr.startswith(
-            f"error: {bad} of 100000 draws give a non-finite loss difference"
+            f"error: {bad} of 100000 draws give a non-finite kernel value "
+            "or a contrast outside its domain"
         )
         assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
 
@@ -608,6 +607,7 @@ def test_stdout_matches_golden(monkeypatch, args, golden, cpus):
 
 
 def test_table_runs_on_one_pool(monkeypatch):
+    # the pool's threads are kept across runs, so a second table starts none
     pools = []
 
     class CountingPool(concurrent.futures.ThreadPoolExecutor):
@@ -616,5 +616,7 @@ def test_table_runs_on_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    gpn._pool.cache_clear()
     run_table(4, n_samples=500, seed=1, oracle=True)
+    run_table(1, n_samples=500, seed=1)
     assert len(pools) == 1

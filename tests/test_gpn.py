@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ import pitnear.gpn as gpn
 from pitnear.errors import DomainError
 from pitnear.estimators import Estimator, LossFn, resolve_estimator
 from pitnear.gpn import (
-    TIE_EPS,
     ComparisonTask,
     GpnResult,
     column_tasks,
@@ -30,6 +30,11 @@ from pitnear.models import (
 
 LOC_ABS = LossFn.from_name("location_abs")
 SCALE_ABS = LossFn.from_name("scale_abs")
+
+# Relative tolerance for calling two loss values a tie in the loss-based
+# reference below: algebraically equal kernel branches give bit-identical
+# losses, and the tolerance guards against association-order differences.
+LOSS_TIE_EPS = 1e-12
 
 # Oracle values of the 832 clamp-dominance cells stored with the benchmark,
 # keyed by a label that ends in "<model> c<component> <cand>/<ref> gap <gap>".
@@ -56,8 +61,9 @@ def task_for(model, gap, cand_name, ref_name, n=2 ** 12, seed=42):
 
 
 def unblocked_monte_carlo(task):
-    """The comparison on whole arrays at once: the reference that the
-    blocked comparison must match count for count.
+    """The comparison of the two losses on whole arrays at once: the
+    reference that the blocked half-line comparison must match count for
+    count.
     """
     rng = np.random.default_rng(task.seed)
     x1, x2 = task.model.sample(task.params, rng, size=task.n_samples)
@@ -66,7 +72,7 @@ def unblocked_monte_carlo(task):
     loss_ref = task.loss.evaluate(task.reference.evaluate(x1, x2), theta)
     tol = np.maximum(loss_cand, loss_ref)
     np.maximum(tol, 1.0, out=tol)
-    tol *= TIE_EPS
+    tol *= LOSS_TIE_EPS
     diff = loss_cand - loss_ref
     wins = int(np.count_nonzero(diff < -tol))
     ties = int(np.count_nonzero(np.abs(diff, out=diff) <= tol))
@@ -130,12 +136,53 @@ class TestMonteCarlo:
         ],
     )
     def test_blocked_counts_match_unblocked(self, model, gap, cand, ref, n):
+        # the half-line count equals the loss-based count under the absolute
+        # and the squared loss, so the two cells are equal too
         task = task_for(model, gap, cand, ref, n=n, seed=n)
-        assert gpn_monte_carlo(task) == unblocked_monte_carlo(task)
+        result = gpn_monte_carlo(task)
+        for squared in (False, True):
+            shaped = replace(task, loss=LossFn(model.kind, squared))
+            assert gpn_monte_carlo(shaped) == unblocked_monte_carlo(shaped) == result
+
+    def test_draw_on_the_edge_is_a_tie(self):
+        # the kernels 0 and 2 put the half-line edge at 1, and the first
+        # draw's pivot lands on it: both estimates are 1 from the truth, so
+        # the draw is a tie in either order, and the pair sums to exactly 1
+        zero = Estimator("zero", 1, ProblemKind.LOCATION, np.zeros_like)
+        two = Estimator("two", 1, ProblemKind.LOCATION, lambda t: np.full_like(t, 2.0))
+        draws = np.array([1.0, 0.0, 0.5, 3.0]), np.zeros(4)
+        fwd, rev = (
+            gpn_monte_carlo(ComparisonTask(ANCHOR_NORMAL, RestrictedParams(0.0, 0.0),
+                                           cand, ref, LOC_ABS, 4), draws)
+            for cand, ref in [(zero, two), (two, zero)]
+        )
+        assert fwd.tie_fraction == rev.tie_fraction == 0.25
+        assert (fwd.win_fraction, rev.win_fraction) == (0.5, 0.25)
+        assert fwd.estimate + rev.estimate == 1.0
+        assert fwd.std_error == rev.std_error
+
+    @pytest.mark.parametrize(
+        "model, gap, cand, ref",
+        [
+            (GammaScale(0.5, 0.2), 2.0, "rmle_star", "rmle"),
+            (BivariateNormal(1.0, 80.0, 0.5), 1.0, "hp_star", "hp"),
+        ],
+    )
+    def test_tie_fraction_is_the_kernels_tie_event(self, model, gap, cand, ref):
+        # the MC ties are the draws where the two kernels agree, the event
+        # whose mass the oracle's integral of 1{xi(t) = psi(t)} gives
+        task = task_for(model, gap, cand, ref, n=2 ** 15 + 3, seed=11)
+        x1, x2 = model.sample(task.params, np.random.default_rng(task.seed), task.n_samples)
+        t = model.kind.contrast(x2, x1)
+        agree = np.count_nonzero(task.candidate.psi(t) == task.reference.psi(t))
+        result = gpn_monte_carlo(task)
+        assert 0.0 < result.tie_fraction < 1.0
+        assert result.tie_fraction == agree / task.n_samples
 
     def test_non_finite_loss_difference_fails_the_cell(self):
-        # a NaN loss difference is neither a win nor a tie, and it may not
-        # count as a loss: the cell fails and names how many draws gave one
+        # a draw with a NaN kernel value, in either order, has a NaN loss
+        # difference: it is neither a win nor a tie, and it may not count as
+        # a loss, so the cell fails and names how many draws gave one
         nan_tail = Estimator(
             "nan_tail", 1, ProblemKind.LOCATION, lambda t: np.where(t > 3.0, np.nan, 0.0)
         )
@@ -145,8 +192,9 @@ class TestMonteCarlo:
         x1, x2 = ANCHOR_NORMAL.sample(task.params, np.random.default_rng(9), n)
         bad = int(np.count_nonzero(x2 - x1 > 3.0))
         assert 0 < bad < n
-        with pytest.raises(DomainError, match=f"^{bad} of {n} draws give a non-finite"):
-            gpn_monte_carlo(task)
+        for task in (task, replace(task, candidate=ref, reference=nan_tail)):
+            with pytest.raises(DomainError, match=f"^{bad} of {n} draws give a non-finite"):
+                gpn_monte_carlo(task)
 
     def test_draws_must_match_the_sample_count(self):
         task = task_for(ANCHOR_NORMAL, 0.5, "rmle", "pnlee", n=64)
@@ -195,6 +243,29 @@ class TestOracle:
         mc = gpn_monte_carlo(task)
         val = gpn_oracle(task)
         assert abs(val - mc.estimate) <= 3.0 * max(mc.std_error, 1e-4)
+
+    @pytest.mark.parametrize(
+        "model, component, cand, ref",
+        [
+            (GammaScale(0.1, 0.1), 2, "rmle_star", "rmle"),
+            (GammaScale(0.05, 0.05), 2, "rmle_star", "rmle"),
+            (GammaScale(0.02, 0.02), 2, "rmle_star", "rmle"),
+            (GammaScale(0.05, 0.05), 1, "ue", "pnsee"),
+        ],
+    )
+    def test_small_shapes_match_monte_carlo(self, model, component, cand, ref):
+        # many draws lie so near 0 that both scale losses are 1 to within
+        # 1e-12; the half-line event still tells them apart, in both
+        # engines. Counted as ties, they put the MC 11 se and 59 se below
+        # the oracle at shapes 0.05 and 0.02
+        task = ComparisonTask(
+            model, model.kind.pinned_params(2.0),
+            resolve_estimator(model, component, cand),
+            resolve_estimator(model, component, ref),
+            SCALE_ABS, n_samples=10 ** 5, seed=1,
+        )
+        mc = gpn_monte_carlo(task)
+        assert abs(mc.estimate - gpn_oracle(task)) <= 4.0 * mc.std_error
 
     @pytest.mark.parametrize(
         "model, gap, cand, ref, squared",
@@ -278,9 +349,7 @@ class TestOracle:
                 t_abs.model, t_abs.params, t_abs.candidate, t_abs.reference,
                 sq, t_abs.n_samples, t_abs.seed,
             )
-            r_abs = gpn_monte_carlo(t_abs)
-            r_sq = gpn_monte_carlo(t_sq)
-            assert abs(r_abs.estimate - r_sq.estimate) <= 4.0 * r_abs.std_error
+            assert gpn_monte_carlo(t_sq) == gpn_monte_carlo(t_abs)
 
 
 @pytest.fixture
