@@ -76,7 +76,10 @@ class Estimator:
     The kernel psi receives the contrast as float64 (an array, or a numpy
     scalar from scalar evaluation) and returns float64 of the same shape.
     breakpoints holds the contrast values where psi has a kink, in any
-    order and possibly repeated; the oracle makes them panel edges.
+    order and possibly repeated; the oracle makes them panel edges. The
+    kernel contract: psi is continuous and monotone between consecutive
+    breakpoints within the contrast's domain. Points the kernel does not
+    need are allowed.
     """
 
     name: str
@@ -109,7 +112,7 @@ def beta_weight(alpha: float) -> float:
     return min(1.0, max(0.0, alpha))
 
 
-def clamp(base: Estimator, model: ModelSpec) -> Estimator:
+def clamp(base: Estimator, model: ModelSpec, crossings: tuple[float, ...] = ()) -> Estimator:
     """Project a kernel onto the band of its model's conditional median for
     the kernel's target: [l(t), u(t)] for a location kernel and [1/u(t),
     1/l(t)] for a scale kernel, where l and u are the inf and sup of the
@@ -119,9 +122,10 @@ def clamp(base: Estimator, model: ModelSpec) -> Estimator:
     spanned by its value at the identity gap and its limit as the gap grows
     without bound. For every model that limit does not depend on the
     contrast. It is NaN (0 * inf) where the median ignores the gap, and
-    fmin/fmax then return the identity-gap value. The clamped kernel lists
-    the median's kinks among its breakpoints; where the kernel crosses the
-    band is for the caller to list.
+    fmin/fmax then return the identity-gap value. The clamped kernel's
+    breakpoints are the base kernel's, the median's kinks and the
+    crossings, the points where the kernel meets an end of the band, which
+    the caller passes.
     """
     if base.kind is not model.kind:
         raise DomainError("estimator kind does not match the model kind")
@@ -138,11 +142,7 @@ def clamp(base: Estimator, model: ModelSpec) -> Estimator:
         return np.maximum(lower, np.minimum(psi(t), upper))
 
     return replace(base, name=base.name + "_star", psi=clamped,
-                   breakpoints=base.breakpoints + model.median_kinks)
-
-
-def _with_breakpoints(est: Estimator, points) -> Estimator:
-    return replace(est, breakpoints=est.breakpoints + tuple(points))
+                   breakpoints=base.breakpoints + model.median_kinks + crossings)
 
 
 def _normal_catalog(model: BivariateNormal, component: int) -> tuple[Estimator, ...]:
@@ -186,7 +186,7 @@ def _normal_catalog(model: BivariateNormal, component: int) -> tuple[Estimator, 
         lambda t: -b * np.maximum(0.0, -t),
         breakpoints=(0.0,),
     )
-    pnlee_star = _with_breakpoints(clamp(pnlee, model), (0.0,))
+    pnlee_star = clamp(pnlee, model, (0.0,))
     rmle_star = clamp(rmle, model)
     return pnlee, rmle, hp, pdt, pnlee_star, rmle_star
 
@@ -210,7 +210,7 @@ def _exponential_catalog(
         rmle = Estimator("rmle", 2, kind, _constant(0.0))
         cross = s2 ** 2 * _LN2 / (s1 + s2)
     # pnlee crosses its bound at cross
-    pnlee_star = _with_breakpoints(clamp(pnlee, model), (cross,))
+    pnlee_star = clamp(pnlee, model, (cross,))
     return pnlee, rmle, pnlee_star, clamp(rmle, model)
 
 
@@ -228,9 +228,9 @@ def _gamma_catalog(model: GammaScale, component: int) -> tuple[Estimator, ...]:
             lambda t: np.minimum(1.0 / a1, (1.0 + t) / asum),
             breakpoints=(a2 / a1,),
         )
-        rmle_star = _with_breakpoints(clamp(rmle, model), (asum / nu - 1.0,))
-        pnsee_star = _with_breakpoints(clamp(pnsee, model), (nu / nu1 - 1.0,))
-        ue_star = _with_breakpoints(clamp(ue, model), (nu / a1 - 1.0,))
+        rmle_star = clamp(rmle, model, (asum / nu - 1.0,))
+        pnsee_star = clamp(pnsee, model, (nu / nu1 - 1.0,))
+        ue_star = clamp(ue, model, (nu / a1 - 1.0,))
         return ue, pnsee, rmle, rmle_star, pnsee_star, ue_star
     nu2 = gamma_median(a2)
     ue = Estimator("ue", 2, kind, _constant(1.0 / a2))
@@ -240,14 +240,8 @@ def _gamma_catalog(model: GammaScale, component: int) -> tuple[Estimator, ...]:
         lambda t: np.maximum(1.0 / a2, (1.0 + t) / (t * asum)),
         breakpoints=(a2 / a1,),
     )
-    rmle_star = _with_breakpoints(
-        clamp(rmle, model),
-        (a2 / (nu - a2),) if nu > a2 else (),
-    )
-    pnsee_star = _with_breakpoints(
-        clamp(pnsee, model),
-        (nu2 / (nu - nu2),) if nu > nu2 else (),
-    )
+    rmle_star = clamp(rmle, model, (a2 / (nu - a2),) if nu > a2 else ())
+    pnsee_star = clamp(pnsee, model, (nu2 / (nu - nu2),) if nu > nu2 else ())
     return ue, pnsee, rmle, rmle_star, pnsee_star
 
 
@@ -261,7 +255,7 @@ def _power_catalog(model: PowerScale, component: int) -> tuple[Estimator, ...]:
     else:
         pnsee = Estimator("pnsee", 2, kind, _constant(2.0 ** (1.0 / a2)))
         cross = 2.0 ** (-a1 / (a2 * asum))
-    return pnsee, _with_breakpoints(clamp(pnsee, model), (cross,))
+    return pnsee, clamp(pnsee, model, (cross,))
 
 
 # Distinct (model, component) catalogs kept by the memo. Models are frozen

@@ -81,7 +81,8 @@ class GpnResult:
 @dataclass(frozen=True)
 class ComparisonTask:
     """One GPN cell: a candidate/reference pair on one model at one
-    parameter point.
+    parameter point. A task checks itself when it is built, so both engines
+    take it as it comes.
     """
 
     model: ModelSpec
@@ -92,7 +93,7 @@ class ComparisonTask:
     n_samples: int = 10000
     seed: int = 42
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.candidate.target != self.reference.target:
             raise DomainError(
                 f"estimators target different components: "
@@ -102,7 +103,10 @@ class ComparisonTask:
         if self.candidate.kind is not kind or self.reference.kind is not kind:
             raise DomainError("estimator kind does not match the model kind")
         if self.loss.problem_kind is not kind:
-            raise DomainError("loss kind does not match the model kind")
+            raise DomainError(
+                f"loss {self.loss.name!r} does not fit the {kind.value} model "
+                f"{type(self.model).__name__}"
+            )
         if self.n_samples < 1:
             raise DomainError(f"n_samples must be >= 1, got {self.n_samples}")
         kind.check_params(self.params)
@@ -131,7 +135,6 @@ def gpn_monte_carlo(
     scale draw, say) says nothing about the model: the cell fails with a
     DomainError that counts them, and their numpy warnings are not shown.
     """
-    task.validate()
     n = task.n_samples
     x1, x2 = _identity_draws(task) if draws is None else draws
     if not len(x1) == len(x2) == n:
@@ -175,13 +178,14 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
     inserted as panel boundaries. The value is exact for every loss name,
     since squared and absolute losses order estimates alike.
     """
-    task.validate()
     if task.candidate == task.reference:
         return 0.5
     model = task.model
     component = task.candidate.target
     lam = task.params.gap(model.kind)
-    cuts = task.candidate.breakpoints + task.reference.breakpoints
+    # a point outside the contrast's domain lies inside no segment
+    cuts = [bp for bp in task.candidate.breakpoints + task.reference.breakpoints
+            if model.kind.in_domain(bp)]
     # Integrating g - 1/2 makes every region where the kernels coincide
     # contribute exactly zero, so heavy contrast tails cost nothing once the
     # clamp deactivates there.
@@ -200,19 +204,11 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
             g = np.where(xi == ps, 0.5, np.where(below, cdf, 1.0 - cdf))
             return (g - 0.5) * weight
 
-        # adaptive_quadrature keeps only the cuts strictly inside the
-        # segment, which drops a non-finite one too
-        seg_cuts = []
-        for bp in cuts:
-            try:
-                seg_cuts.append(seg.from_t(bp))
-            except (ZeroDivisionError, ValueError):
-                continue
         shift += adaptive_quadrature(
             integrand,
             seg.lo,
             seg.hi,
-            breakpoints=seg_cuts,
+            breakpoints=[seg.from_t(bp) for bp in cuts],
             abs_tol=abs_tol / len(segments),
             max_panels=4000,
         )
@@ -242,8 +238,9 @@ def column_tasks(
     column's seed, the one derived from the base seed and (pair, 0). Its
     cells share their draws (common random numbers): each cell's draws are
     the column's identity-gap draws moved to its gap, so the differences
-    between gaps carry little sampling noise. A gap outside the model's
-    domain raises here, before any cell runs.
+    between gaps carry little sampling noise. Each cell checks itself as it
+    is built, so a gap outside the model's domain, a loss of the other kind
+    or a sample count below 1 raises here, before any cell runs.
     """
     seed = derive_cell_seed(base_seed, pair_index, 0)
     return tuple(
@@ -316,7 +313,6 @@ def _run_job(job: list[ComparisonTask], failed: threading.Event) -> list:
             break
         try:
             if draws is None:
-                task.validate()
                 draws = _identity_draws(task)
             # called through the module global, which a tracer may replace
             outcomes.append(gpn_monte_carlo(task, draws))

@@ -292,6 +292,26 @@ class TestCommandLine:
         assert result.exit_code == 3
         assert "valid names" in result.output
 
+    @pytest.mark.parametrize(
+        "pair, code, output",
+        [
+            (["rmle_star", "rmle"], 2,
+             "error: loss 'location_abs' does not fit the scale model GammaScale\n"),
+            # the names resolve before any cell is built
+            (["nope", "ue"], 3, None),
+        ],
+        ids=["loss_only", "unknown_estimator_first"],
+    )
+    def test_loss_kind_mismatch(self, tmp_path, pair, code, output):
+        cfg = {"model": {"name": "gamma", "alpha1": 1.0, "alpha2": 1.0}, "component": 2,
+               "pairs": [pair], "gaps": [1.0], "loss": "location_abs", "n_samples": 100}
+        path = tmp_path / "loss.json"
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == code, result.output
+        if output is not None:
+            assert result.output == output
+
     def test_nu_without_family_names_the_pair(self, tmp_path):
         # psi_nu exists for this model, but the pair names neither family
         cfg = {**NORMAL_SWEEP, "model": normal_model(sigma1=2.0),

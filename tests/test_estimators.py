@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pitnear.cli import TABLES
 from pitnear.errors import DomainError, UnknownEstimatorError, UnsupportedCaseError
 from pitnear.estimators import (
     Estimator,
@@ -432,6 +433,91 @@ class TestMedianBand:
         for lam in lams:
             m = model.cond_median(component, lam, t)
             assert np.all(lo <= m + 1e-12) and np.all(m <= hi + 1e-12)
+
+
+# The models of the dominance certification, of the six tables, of the band
+# tests and a few extra shapes, each once.
+CONTRACT_MODELS = list(dict.fromkeys(
+    [
+        BivariateNormal(80.0, 30.0, 0.0),
+        BivariateNormal(1.0, 80.0, 0.5),
+        BivariateNormal(80.0, 1.0, 0.5),
+        ExponentialLocation(30.0, 40.0),
+        GammaScale(0.5, 0.2),
+        GammaScale(1.0, 1.0),
+        GammaScale(30.0, 1.0),
+        PowerScale(1.0, 1.0),
+        PowerScale(2.0, 0.5),
+    ]
+    + [spec.model_cls(*config) for spec in TABLES.values() for config in spec.configs]
+    + BAND_MODELS
+    + [GammaScale(0.05, 3.0), GammaScale(5.0, 0.1), PowerScale(0.3, 4.0), PowerScale(5.0, 0.2)]
+))
+
+
+def contract_grid(kind, points):
+    """A dense grid of the kind's contrast domain, log-spaced (for location
+    symmetrically about 0), with the points that lie in the domain added.
+    """
+    if kind is ProblemKind.LOCATION:
+        half = np.logspace(-8.0, 6.0, 2801)
+        grid = np.concatenate([-half[::-1], [0.0], half])
+    else:
+        grid = np.logspace(-12.0, 12.0, 4801)
+    points = np.array(points, dtype=float)
+    return np.union1d(grid, points[kind.in_domain(points)])
+
+
+def contract_kernels(model, component):
+    """The catalog's kernels, and for the normal families the member at the
+    closed end of nu's range and the one at its midpoint.
+    """
+    kernels = list(catalog(model, component))
+    for name in ("psi_nu", "psi_nu_hp"):
+        if name in estimator_names(model, component):
+            a = model.alpha
+            for nu in (a, 0.5 * (a + (1.0 if a >= 0.0 else 0.0))):
+                kernels.append(resolve_estimator(model, component, name, nu))
+    return kernels
+
+
+class TestKernelContract:
+    def test_every_kernel_is_monotone_between_its_breakpoints(self):
+        failures = []
+        for model in CONTRACT_MODELS:
+            for component in (1, 2):
+                for est in contract_kernels(model, component):
+                    t = contract_grid(model.kind, est.breakpoints)
+                    psi = est.psi(t)
+                    edges = [0, *np.flatnonzero(np.isin(t, est.breakpoints)), len(t) - 1]
+                    for a, b in zip(edges[:-1], edges[1:]):
+                        step = np.diff(psi[a:b + 1])
+                        if not (np.all(step >= 0.0) or np.all(step <= 0.0)):
+                            failures.append(
+                                f"{model} c{component} {est.name} on [{t[a]:g}, {t[b]:g}]"
+                            )
+        assert not failures, failures
+
+    def test_every_switch_of_a_clamp_is_listed(self):
+        # where a clamped kernel passes between its base kernel, the lower
+        # and the upper end of its band, the grid cell must hold a listed
+        # breakpoint; points where nothing switches are allowed
+        failures = []
+        for model in CONTRACT_MODELS:
+            for component in (1, 2):
+                named = {est.name: est for est in catalog(model, component)}
+                for name, star in named.items():
+                    if not name.endswith("_star"):
+                        continue
+                    t = contract_grid(model.kind, star.breakpoints)
+                    lo, hi = clamp_band(model, component, t)
+                    psi = named[name.removesuffix("_star")].psi(t)
+                    side = np.where(psi < lo, -1, np.where(psi > hi, 1, 0))
+                    listed = np.isin(t, star.breakpoints)
+                    unlisted = (side[1:] != side[:-1]) & ~(listed[1:] | listed[:-1])
+                    failures += [f"{model} c{component} {name} in [{t[i]:g}, {t[i + 1]:g}]"
+                                 for i in np.flatnonzero(unlisted)]
+        assert not failures, failures
 
 
 class TestCatalog:

@@ -203,21 +203,34 @@ class TestMonteCarlo:
             gpn_monte_carlo(task, draws)
 
     def test_validation_errors(self):
+        # a task checks itself when it is built, and again when replace
+        # builds a changed copy
         cand = resolve_estimator(ANCHOR_NORMAL, 1, "rmle")
         ref2 = resolve_estimator(ANCHOR_NORMAL, 2, "pnlee")
         with pytest.raises(DomainError):
-            ComparisonTask(
-                ANCHOR_NORMAL, RestrictedParams(0.0, 0.0), cand, ref2, LOC_ABS
-            ).validate()
+            ComparisonTask(ANCHOR_NORMAL, RestrictedParams(0.0, 0.0), cand, ref2, LOC_ABS)
         ref = resolve_estimator(ANCHOR_NORMAL, 1, "pnlee")
+        with pytest.raises(DomainError, match="loss 'scale_abs' does not fit the location"):
+            ComparisonTask(ANCHOR_NORMAL, RestrictedParams(0.0, 0.0), cand, ref, SCALE_ABS)
         with pytest.raises(DomainError):
-            ComparisonTask(
-                ANCHOR_NORMAL, RestrictedParams(0.0, 0.0), cand, ref, SCALE_ABS
-            ).validate()
-        with pytest.raises(DomainError):
-            ComparisonTask(
-                ANCHOR_NORMAL, RestrictedParams(0.0, 0.0), cand, ref, LOC_ABS, 0
-            ).validate()
+            ComparisonTask(ANCHOR_NORMAL, RestrictedParams(0.0, 0.0), cand, ref, LOC_ABS, 0)
+        task = ComparisonTask(ANCHOR_NORMAL, RestrictedParams(0.0, 0.0), cand, ref, LOC_ABS)
+        with pytest.raises(DomainError, match="does not fit"):
+            replace(task, loss=SCALE_ABS)
+        with pytest.raises(DomainError, match="n_samples"):
+            replace(task, n_samples=0)
+
+    @pytest.mark.parametrize(
+        "loss, n, match",
+        [(SCALE_ABS, 64, "does not fit"), (LOC_ABS, 0, "n_samples must be >= 1")],
+        ids=["loss_of_the_other_kind", "no_samples"],
+    )
+    def test_column_tasks_checks_each_cell(self, loss, n, match):
+        # a bad column raises while it is built, before any cell can run
+        cand = resolve_estimator(ANCHOR_NORMAL, 1, "rmle")
+        ref = resolve_estimator(ANCHOR_NORMAL, 1, "pnlee")
+        with pytest.raises(DomainError, match=match):
+            column_tasks(ANCHOR_NORMAL, cand, ref, [0.0, 1.0], loss, n, 1, 0)
 
 
 class TestOracle:
@@ -227,6 +240,21 @@ class TestOracle:
             ANCHOR_GAMMA, RestrictedParams(1.0, 2.0), est, est, SCALE_ABS
         )
         assert gpn_oracle(task) == 0.5
+
+    @pytest.mark.parametrize(
+        "model, cand, ref, outside",
+        [
+            (GammaScale(0.5, 0.2), "rmle_star", "rmle", (0.0, -1.0, np.inf, np.nan)),
+            (ANCHOR_NORMAL, "rmle", "pnlee", (np.inf, -np.inf, np.nan)),
+        ],
+        ids=["scale", "location"],
+    )
+    def test_breakpoints_outside_the_domain_are_ignored(self, model, cand, ref, outside):
+        # a breakpoint where the contrast cannot lie is no panel edge: the
+        # value is bit for bit the one without it
+        task = task_for(model, 2.0, cand, ref)
+        listed = replace(task.candidate, breakpoints=task.candidate.breakpoints + outside)
+        assert gpn_oracle(replace(task, candidate=listed)) == gpn_oracle(task)
 
     @pytest.mark.parametrize(
         "model,gap,cand,ref",
