@@ -176,7 +176,9 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
     """Deterministic GPN: the half-line event probability integrated against
     the contrast density by adaptive quadrature, with kernel breakpoints
     inserted as panel boundaries. The value is exact for every loss name,
-    since squared and absolute losses order estimates alike.
+    since squared and absolute losses order estimates alike. A kernel value
+    that is not finite at a node fails the cell with a DomainError, as it
+    fails a draw of the Monte Carlo engine.
     """
     if task.candidate == task.reference:
         return 0.5
@@ -198,6 +200,11 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
             weight = model.d_density(lam, t) * _seg.jacobian(s)
             xi = task.candidate.psi(t)
             ps = task.reference.psi(t)
+            if not (np.isfinite(xi).all() and np.isfinite(ps).all()):
+                raise DomainError(
+                    f"{task.candidate.name} vs {task.reference.name} gives a "
+                    f"non-finite kernel value at a quadrature node"
+                )
             # P[candidate beats reference | D = t]: the pivot's half-line event
             edge, below = model.kind.halfline(xi, ps)
             cdf = model.cond_cdf(component, lam, t, edge)

@@ -4,15 +4,19 @@ The integrand is called with an ndarray of nodes and must return an ndarray
 of the same shape, computed element by element: a node's value may not
 depend on which other nodes share the call. The greedy loop relies on that
 to group panels into few calls while choosing the same panels as a
-one-panel-per-call loop. All initial panels share one call, and bisecting a
-panel whose children are not yet known evaluates both children and their
-four children in one 90-node call; the grandchildren's figures ride on the
-heap with the children, so bisecting a child later calls nothing.
+one-panel-per-call loop. All initial panels share one call. Bisecting a
+panel whose children are not yet known evaluates, in one call, both
+children and their four children, and, for each end of the panel that is an
+initial cut, the chain of descendants touching that end down to as many
+levels below the panel as it lies below its initial panel. Figures known
+ahead are kept until their panel joins the partition, so a descent into an
+endpoint singularity makes one call per doubling of its depth.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -66,6 +70,32 @@ def _panels(
     return out
 
 
+def _lookahead(
+    lo: float, hi: float, depth: int, cuts: frozenset[float]
+) -> list[tuple[float, float]]:
+    """Bounds of the descendants of the panel (lo, hi), `depth` bisections
+    below its initial panel, that one call evaluates: its children and
+    grandchildren, and below them, down to `depth` levels below the panel,
+    both children of each panel on the chain that touches an end of
+    (lo, hi) lying in `cuts`. A chain stops where a midpoint no longer
+    splits its panel.
+    """
+    mid = 0.5 * (lo + hi)
+    q1 = 0.5 * (lo + mid)
+    q3 = 0.5 * (mid + hi)
+    out = [(lo, mid), (mid, hi), (lo, q1), (q1, mid), (mid, q3), (q3, hi)]
+    for end, (a, b) in ((lo, (lo, q1)), (hi, (q3, hi))):
+        if end not in cuts:
+            continue
+        for _ in range(depth - 2):
+            m = 0.5 * (a + b)
+            if m <= a or m >= b:
+                break
+            out += [(a, m), (m, b)]
+            a, b = (a, m) if a == end else (m, b)
+    return out
+
+
 def adaptive_quadrature(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -80,13 +110,14 @@ def adaptive_quadrature(
     error estimate meets abs_tol (or rel_tol relative to the running value).
 
     Interior breakpoints become initial panel boundaries so that integrand
-    kinks do not degrade the error estimates.
+    kinks do not degrade the error estimates. A panel of the partition whose
+    K15 or G7 sum is not finite raises ConvergenceError.
     """
     if not b > a:
         raise ConvergenceError(f"empty integration interval [{a}, {b}]")
     cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    # max-heap on error via negated key; the last field holds the panel's
-    # children as (v_lo, e_lo, v_hi, e_hi) once they are known, else None
+    # max-heap on error via negated key; the last field is the panel's number
+    # of bisections below its initial panel
     heap = []
     total = 0.0
     err = 0.0
@@ -94,7 +125,11 @@ def adaptive_quadrature(
     for (lo, hi), (val, e) in zip(bounds, _panels(f, bounds)):
         total += val
         err += e
-        heapq.heappush(heap, (-e, lo, hi, val, None))
+        heapq.heappush(heap, (-e, lo, hi, val, 0))
+    _check_finite(err, a, b)
+    cut_set = frozenset(cuts)
+    # (value, error) of panels evaluated ahead of their parent's bisection
+    known: dict[tuple[float, float], tuple[float, float]] = {}
     n_panels = len(heap)
     while err > abs_tol and err > rel_tol * abs(total):
         if n_panels >= max_panels:
@@ -103,27 +138,31 @@ def adaptive_quadrature(
                 f"(requested abs_tol={abs_tol:.3e})",
                 achieved=err,
             )
-        ne, lo, hi, val, kids = heapq.heappop(heap)
+        ne, lo, hi, val, depth = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at float resolution; accept as-is
             err += ne  # ne is negative
             if not heap:
                 break
             continue
-        if kids is None:
-            q1 = 0.5 * (lo + mid)
-            q3 = 0.5 * (mid + hi)
-            (v1, e1), (v2, e2), g1, g2, g3, g4 = _panels(
-                f, [(lo, mid), (mid, hi), (lo, q1), (q1, mid), (mid, q3), (q3, hi)]
-            )
-            kids1, kids2 = (*g1, *g2), (*g3, *g4)
-        else:
-            v1, e1, v2, e2 = kids
-            kids1 = kids2 = None
+        if (lo, mid) not in known:
+            ahead = _lookahead(lo, hi, depth, cut_set)
+            known.update(zip(ahead, _panels(f, ahead)))
+        v1, e1 = known.pop((lo, mid))
+        v2, e2 = known.pop((mid, hi))
         total += v1 + v2 - val
         err += e1 + e2 + ne
+        _check_finite(err, lo, hi)
         err = max(err, 0.0)
-        heapq.heappush(heap, (-e1, lo, mid, v1, kids1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, kids2))
+        heapq.heappush(heap, (-e1, lo, mid, v1, depth + 1))
+        heapq.heappush(heap, (-e2, mid, hi, v2, depth + 1))
         n_panels += 1
     return total
+
+
+def _check_finite(err: float, lo: float, hi: float) -> None:
+    """Raise unless the summed error estimate is finite: a panel within
+    [lo, hi] whose K15 or G7 sum is not finite has made it inf or NaN.
+    """
+    if not math.isfinite(err):
+        raise ConvergenceError(f"non-finite quadrature sum within [{lo!r}, {hi!r}]")

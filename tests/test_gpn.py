@@ -256,6 +256,22 @@ class TestOracle:
         listed = replace(task.candidate, breakpoints=task.candidate.breakpoints + outside)
         assert gpn_oracle(replace(task, candidate=listed)) == gpn_oracle(task)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_kernel_value_fails_the_cell(self, bad):
+        # the Monte Carlo engine fails a cell whose kernel is not finite on
+        # some draws; the oracle fails it too, in either order, rather than
+        # printing NaN or a number that ignores the bad region
+        tail = Estimator(
+            "tail", 1, ProblemKind.LOCATION, lambda t: np.where(t > 1.0, bad, 0.0)
+        )
+        ref = resolve_estimator(ANCHOR_NORMAL, 1, "pnlee")
+        task = ComparisonTask(ANCHOR_NORMAL, RestrictedParams(0.0, 1.0), tail, ref, LOC_ABS, 1000, 9)
+        for task in (task, replace(task, candidate=ref, reference=tail)):
+            with pytest.raises(DomainError, match="non-finite kernel value"):
+                gpn_monte_carlo(task)
+            with pytest.raises(DomainError, match="non-finite kernel value"):
+                gpn_oracle(task)
+
     @pytest.mark.parametrize(
         "model,gap,cand,ref",
         [

@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import pitnear.gpn as gpn
 from pitnear.errors import ConvergenceError
+from pitnear.estimators import LossFn, resolve_estimator
+from pitnear.gpn import ComparisonTask
+from pitnear.models import GammaScale, PowerScale
 from pitnear.quadrature import _WG, _WK, _XK, adaptive_quadrature
 
 
@@ -65,9 +69,14 @@ def test_kronrod_weights_sum_to_two():
     assert _WG.sum() == pytest.approx(2.0, abs=1e-15)
 
 
-def _greedy_one_panel_per_call(f, a, b, abs_tol):
-    """Reference greedy loop: one integrand call per 15-node panel. Returns
-    the integral and the number of bisections."""
+def _greedy_one_panel_per_call(
+    f, a, b, *, breakpoints=(), abs_tol=1e-9, rel_tol=0.0, max_panels=2000
+):
+    """Reference greedy loop: one integrand call per 15-node panel, with the
+    budget and float-resolution rules of adaptive_quadrature. Returns the
+    integral, the smallest max_panels that it passes with, and the number of
+    panels accepted at float resolution.
+    """
 
     def panel(lo, hi):
         half = 0.5 * (hi - lo)
@@ -77,35 +86,159 @@ def _greedy_one_panel_per_call(f, a, b, abs_tol):
         g7 = half * float(np.dot(_WG, y[1::2]))
         return k15, abs(k15 - g7)
 
-    total, err = panel(a, b)
-    heap = [(-err, a, b, total)]
-    bisections = 0
-    while err > abs_tol:
+    cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    heap = []
+    total = err = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        val, e = panel(lo, hi)
+        total += val
+        err += e
+        heapq.heappush(heap, (-e, lo, hi, val))
+    n_panels = len(heap)
+    needed = accepted = 0
+    while err > abs_tol and err > rel_tol * abs(total):
+        needed = n_panels + 1
+        if n_panels >= max_panels:
+            raise ConvergenceError(f"reference over its budget of {max_panels} panels")
         ne, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            accepted += 1
+            err += ne
+            if not heap:
+                break
+            continue
         v1, e1 = panel(lo, mid)
         v2, e2 = panel(mid, hi)
         total += v1 + v2 - val
         err = max(err + e1 + e2 + ne, 0.0)
         heapq.heappush(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
-        bisections += 1
-    return total, bisections
+        n_panels += 1
+    return total, needed, accepted
 
 
-def test_grouped_calls_keep_the_greedy_partition():
+# (integrand, a, b, keyword arguments): descents into a cut at the left end,
+# at the right end, at an interior breakpoint from both sides, 303 levels
+# deep, and down to float resolution, where the nodes of the last panels
+# round onto the cut itself and a floor keeps the integrand finite
+DESCENTS = {
+    "x**-0.5": (lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300)), 0.0, 1.0, {}),
+    "(1-x)**-0.5": (lambda x: 1.0 / np.sqrt(np.maximum(1.0 - x, 2.0 ** -54)), 0.0, 1.0, {}),
+    "|x-0.3|**-0.5": (
+        lambda x: 1.0 / np.sqrt(np.maximum(np.abs(x - 0.3), 2.0 ** -56)),
+        0.0, 1.0, {"breakpoints": [0.3]},
+    ),
+    "x**-0.9": (lambda x: np.maximum(x, 1e-300) ** -0.9, 0.0, 1.0, {}),
+    "x**-0.9 to float resolution": (
+        lambda x: np.maximum(x - 1.0, 2.0 ** -53) ** -0.9, 1.0, 1.0 + 2.0 ** -46,
+        {"abs_tol": 0.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DESCENTS))
+def test_grouped_calls_keep_the_greedy_partition(name):
+    g, a, b, kw = DESCENTS[name]
     calls = []
 
     def f(x):
         calls.append(x.size)
-        return 1.0 / np.sqrt(np.maximum(x, 1e-300))
+        return g(x)
 
-    ref, bisections = _greedy_one_panel_per_call(f, 0.0, 1.0, 1e-9)
+    ref, needed, accepted = _greedy_one_panel_per_call(f, a, b, max_panels=10 ** 6, **kw)
     ref_calls = len(calls)
     calls.clear()
-    val = adaptive_quadrature(f, 0.0, 1.0, abs_tol=1e-9, max_panels=1 + bisections)
+    val = adaptive_quadrature(f, a, b, max_panels=needed, **kw)
+    n_calls = len(calls)
     assert val == ref
-    assert len(calls) <= ref_calls // 2 + 1
-    # the budget counts bisections: one fewer allowed panel must fail
+    assert n_calls <= ref_calls // 2 + 1
+    assert (accepted > 0) == name.endswith("float resolution")
+    # the budget counts panels: one fewer allowed panel must fail
     with pytest.raises(ConvergenceError):
-        adaptive_quadrature(f, 0.0, 1.0, abs_tol=1e-9, max_panels=bisections)
+        adaptive_quadrature(f, a, b, max_panels=needed - 1, **kw)
+    if name in ("x**-0.5", "x**-0.9"):
+        # a descent into the left end takes one call per doubling of its
+        # depth: 7 calls for 53 bisections and 10 for 303, 28 and 153 with
+        # a call per two levels
+        bisections = needed - 1
+        assert n_calls <= 2 * math.log2(bisections)
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
+)
+def test_non_finite_panel_raises(bad):
+    # a value that is not finite at a node makes that panel's K15 and G7
+    # sums non-finite: no number is returned for the integral
+    def f(x):
+        return np.where(x > 0.7, bad, 1.0)
+
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        adaptive_quadrature(f, 0.0, 1.0)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        adaptive_quadrature(f, 0.0, 1.0, breakpoints=[0.5])
+
+
+def test_non_finite_panel_found_while_refining_raises():
+    # the initial panel's nodes miss the bad point; a later panel's do not
+    def f(x):
+        return np.where(x == 0.5, np.nan, np.sin(20.0 * x))
+
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        adaptive_quadrature(f, 0.0, 2.0, abs_tol=1e-12)
+
+
+def _oracle_cases():
+    for model, component, cand, ref in [
+        (GammaScale(0.5, 0.2), 1, "rmle_star", "rmle"),
+        (GammaScale(0.5, 0.2), 2, "rmle_star", "rmle"),
+        (PowerScale(2.0, 0.5), 1, "pnsee_star", "pnsee"),
+        (PowerScale(2.0, 0.5), 2, "pnsee_star", "pnsee"),
+    ]:
+        for gap in (1.25, 2.0, 10.0, 100.0):
+            yield ComparisonTask(
+                model,
+                model.kind.pinned_params(gap),
+                resolve_estimator(model, component, cand),
+                resolve_estimator(model, component, ref),
+                LossFn.from_name("scale_abs"),
+            )
+
+
+ORACLE_CASES = list(_oracle_cases())
+
+
+def test_oracle_keeps_the_greedy_partition(monkeypatch):
+    # the oracle's integrals, endpoint descents included, bisect the panels
+    # a one-panel-per-call loop bisects, so every value is the same bits
+    values = [gpn.gpn_oracle(task) for task in ORACLE_CASES]
+    monkeypatch.setattr(
+        gpn, "adaptive_quadrature",
+        lambda f, a, b, **kw: _greedy_one_panel_per_call(f, a, b, **kw)[0],
+    )
+    assert [gpn.gpn_oracle(task) for task in ORACLE_CASES] == values
+
+
+def test_oracle_descent_takes_few_calls(monkeypatch):
+    # gamma (0.5, 0.2) c2 at gap 2 descends into s -> 0 on its segments:
+    # 9 integrand calls, 57 with a call per two levels of the descent
+    calls = []
+    quadrature = gpn.adaptive_quadrature
+
+    def counting(f, a, b, **kw):
+        def g(x):
+            calls.append(x.size)
+            return f(x)
+
+        return quadrature(g, a, b, **kw)
+
+    model = GammaScale(0.5, 0.2)
+    task = ComparisonTask(
+        model, model.kind.pinned_params(2.0),
+        resolve_estimator(model, 2, "rmle_star"), resolve_estimator(model, 2, "rmle"),
+        LossFn.from_name("scale_abs"),
+    )
+    monkeypatch.setattr(gpn, "adaptive_quadrature", counting)
+    gpn.gpn_oracle(task)
+    assert len(calls) <= 16
