@@ -59,6 +59,19 @@ class LossFn:
         err = kind.contrast(estimate, theta) - kind.identity
         return err ** 2 if self.squared else np.abs(err)
 
+    def halfline(self, xi, psi):
+        """Where the candidate kernel value xi is nearer than the reference
+        value psi: a half-line of the pivot Z, given as (edge, True where
+        the candidate wins below it). The errors are Z - xi for location
+        and xi Z - 1 for scale; squaring keeps their order, so a kind's
+        absolute and squared losses share the event.
+        """
+        if self.problem_kind is ProblemKind.LOCATION:
+            # |Z - xi| < |Z - psi| is the half-line about the midpoint on xi's side
+            return 0.5 * (xi + psi), xi < psi
+        # |xi Z - 1| < |psi Z - 1| resolves to Z against 2/(xi + psi)
+        return 2.0 / (xi + psi), xi > psi
+
     @classmethod
     def from_name(cls, name: str) -> "LossFn":
         losses = [cls(kind, squared) for kind in ProblemKind for squared in (False, True)]

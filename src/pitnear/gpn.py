@@ -1,11 +1,10 @@
 """Generalized Pitman nearness of one estimator relative to another:
 P[L(cand) < L(ref)] + P[L(cand) = L(ref)] / 2.
 
-Both evaluation routes decide a comparison by the pivot's half-line event,
-ProblemKind.halfline: a seeded, paired Monte Carlo engine counts the draws on
-each side of its edge, and a deterministic quadrature oracle integrates its
-probability against the contrast density. Neither evaluates the loss: GPN
-depends on a loss only through its ordering, the same for every loss name.
+Both evaluation routes decide a comparison by the half-line event of the
+task's loss: a seeded, paired Monte Carlo engine counts the draws on each
+side of its edge, and a deterministic quadrature oracle integrates its
+probability against the contrast density.
 """
 
 from __future__ import annotations
@@ -125,7 +124,7 @@ def gpn_monte_carlo(
     draws sample makes at those parameters from that seed. run_columns
     draws once for cells that share a seed and passes them on as draws.
 
-    Each draw is decided by kind.halfline on the kernels at its contrast; a
+    Each draw is decided by task.loss on the kernels at its contrast; a
     draw where the kernels agree or the pivot lands on the edge is a tie, so
     a pair and its swap sum to exactly 1. Every step is element-wise and
     exactly rounded, so the counts do not depend on the block size.
@@ -150,7 +149,7 @@ def gpn_monte_carlo(
             b2 = kind.move(x2[i:i + m], params.theta2, out=buf2[:m])
             t = kind.contrast(b2, b1)
             xi, ps = task.candidate.psi(t), task.reference.psi(t)
-            edge, below = kind.halfline(xi, ps)
+            edge, below = task.loss.halfline(xi, ps)
             z = kind.contrast(b1 if target == 1 else b2, theta)
             tie = (xi == ps) | (z == edge)
             ok = kind.in_domain(t) & np.isfinite(xi) & np.isfinite(ps)
@@ -173,12 +172,11 @@ def _identity_draws(task: ComparisonTask) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
-    """Deterministic GPN: the half-line event probability integrated against
-    the contrast density by adaptive quadrature, with kernel breakpoints
-    inserted as panel boundaries. The value is exact for every loss name,
-    since squared and absolute losses order estimates alike. A kernel value
-    that is not finite at a node fails the cell with a DomainError, as it
-    fails a draw of the Monte Carlo engine.
+    """Deterministic GPN: the probability of the loss's half-line event
+    integrated against the contrast density by adaptive quadrature, with
+    kernel breakpoints inserted as panel boundaries. A kernel value that is
+    not finite at a node fails the cell with a DomainError, as it fails a
+    draw of the Monte Carlo engine.
     """
     if task.candidate == task.reference:
         return 0.5
@@ -206,7 +204,7 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
                     f"non-finite kernel value at a quadrature node"
                 )
             # P[candidate beats reference | D = t]: the pivot's half-line event
-            edge, below = model.kind.halfline(xi, ps)
+            edge, below = task.loss.halfline(xi, ps)
             cdf = model.cond_cdf(component, lam, t, edge)
             g = np.where(xi == ps, 0.5, np.where(below, cdf, 1.0 - cdf))
             return (g - 0.5) * weight

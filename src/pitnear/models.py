@@ -6,10 +6,10 @@ D = X2 - X1 with gap parameter lam = theta2 - theta1 >= 0; scale models use
 D = X2 / X1 with lam = theta2 / theta1 >= 1. ProblemKind owns every rule that
 differs between the two groups: the identity gap, the contrast, its domain
 and its inverse, the parameter and gap checks, the equivariant estimate
-X_i - psi(D) or psi(D) * X_i, the clamp band of a kernel and the half-line
-event of the oracle. All evaluation methods accept scalars or ndarrays and
-are pure. Sampling draws arrays only: size draws of each component from a
-caller-owned numpy Generator, returned as the pair (x1, x2).
+X_i - psi(D) or psi(D) * X_i and the clamp band of a kernel. All
+evaluation methods accept scalars or ndarrays and are pure. Sampling draws
+arrays only: size draws of each component from a caller-owned numpy
+Generator, returned as the pair (x1, x2).
 """
 
 from __future__ import annotations
@@ -111,18 +111,6 @@ class ProblemKind(Enum):
         if self is ProblemKind.LOCATION:
             return lower, upper
         return _reciprocal(upper), _reciprocal(lower)
-
-    def halfline(self, xi, psi):
-        """The candidate kernel value xi beats the reference value psi when
-        the pivot Z falls on one side of an edge: (edge, True where the
-        candidate wins below it). The event is the same for the absolute and
-        the squared loss.
-        """
-        if self is ProblemKind.LOCATION:
-            # |Z - xi| < |Z - psi| is the half-line about the midpoint on xi's side
-            return 0.5 * (xi + psi), xi < psi
-        # |xi Z - 1| < |psi Z - 1| resolves to Z against 2/(xi + psi)
-        return 2.0 / (xi + psi), xi > psi
 
     def check_gap(self, gap: float) -> None:
         """The gap domain: a location gap is >= 0 and a scale gap >= 1."""

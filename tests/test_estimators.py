@@ -69,6 +69,12 @@ WRITTEN_LOSSES = {
 
 LOSS_GRID = np.array([-np.inf, -2.5, -1e-300, -0.0, 0.0, 5e-324, 0.7, 1.0, 3.0, np.inf, np.nan])
 
+# Kernel values and pivots per kind: signed for location, positive for scale.
+HALFLINE_GRID = {
+    ProblemKind.LOCATION: np.array([-3.0, -1.5, -0.25, 0.0, 0.5, 1.0, 2.75, 4.0]),
+    ProblemKind.SCALE: np.array([0.125, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 8.0]),
+}
+
 
 class TestLossFn:
     def test_names_round_trip(self):
@@ -129,6 +135,40 @@ class TestLossFn:
 
     def test_scale_abs_value(self):
         assert LossFn.from_name("scale_abs").evaluate(3.0, 2.0) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("name, halfline", [
+        ("location_abs", (2.0, True)), ("location_squared", (2.0, True)),
+        ("scale_abs", (0.5, False)), ("scale_squared", (0.5, False)),
+    ])
+    def test_halfline_value(self, name, halfline):
+        # halfline(xi=1, psi=3) as (edge, candidate wins below it)
+        edge, below = LossFn.from_name(name).halfline(np.array([1.0]), np.array([3.0]))
+        assert (edge[0], below[0]) == halfline
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    def test_halfline_same_for_abs_and_squared(self, kind):
+        xi, psi = np.meshgrid(HALFLINE_GRID[kind], HALFLINE_GRID[kind])
+        (edge_abs, below_abs), (edge_sq, below_sq) = (
+            LossFn(kind, squared).halfline(xi, psi) for squared in (False, True)
+        )
+        assert np.array_equal(edge_abs.view(np.uint64), edge_sq.view(np.uint64))
+        assert np.array_equal(below_abs, below_sq)
+
+    @pytest.mark.parametrize("name", list(WRITTEN_LOSSES))
+    def test_halfline_is_where_the_candidate_is_nearer(self, name):
+        # at the truth theta = identity the observation is the pivot z, so
+        # the estimates are kind.estimate(z, xi) and kind.estimate(z, psi);
+        # the grid's values are dyadic, so no z off the edge is within
+        # rounding of it
+        loss = LossFn.from_name(name)
+        kind = loss.problem_kind
+        xi, psi, z = np.meshgrid(*[HALFLINE_GRID[kind]] * 3)
+        edge, below = loss.halfline(xi, psi)
+        off = (xi != psi) & (z != edge)
+        nearer = (loss.evaluate(kind.estimate(z, xi), kind.identity)
+                  < loss.evaluate(kind.estimate(z, psi), kind.identity))
+        assert np.count_nonzero(off) > 400 and 0 < np.count_nonzero(nearer[off]) < off.sum()
+        assert np.array_equal(((z < edge) == below)[off], nearer[off])
 
 
 class TestClampLocation:

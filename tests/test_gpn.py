@@ -1,3 +1,4 @@
+import importlib
 import json
 import sys
 import time
@@ -36,11 +37,11 @@ SCALE_ABS = LossFn.from_name("scale_abs")
 # losses, and the tolerance guards against association-order differences.
 LOSS_TIE_EPS = 1e-12
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 # Oracle values of the 832 clamp-dominance cells stored with the benchmark,
 # keyed by a label that ends in "<model> c<component> <cand>/<ref> gap <gap>".
-CERTIFICATION_REFERENCE = (
-    Path(__file__).resolve().parents[1] / "perfbench" / "data" / "oracle_certify.json"
-)
+CERTIFICATION_REFERENCE = PERFBENCH / "data" / "oracle_certify.json"
 
 ANCHOR_NORMAL = BivariateNormal(3.0, 0.5, -0.9)
 ANCHOR_GAMMA = GammaScale(30.0, 1.0)
@@ -384,6 +385,25 @@ class TestOracle:
                 )
                 assert gpn_oracle(task) > 0.5 + 1e-6
 
+    def test_both_engines_decide_by_the_task_loss(self, monkeypatch):
+        # a loss whose half-line event is flipped turns every win into a
+        # loss and keeps the ties, in both engines
+        task = task_for(GammaScale(0.5, 0.2), 2.0, "rmle_star", "rmle")
+        mc, oracle = gpn_monte_carlo(task), gpn_oracle(task)
+        halfline = LossFn.halfline
+
+        def flipped(loss, xi, psi):
+            edge, below = halfline(loss, xi, psi)
+            return edge, ~below
+
+        monkeypatch.setattr(LossFn, "halfline", flipped)
+        flipped_mc = gpn_monte_carlo(task)
+        assert 0.0 < mc.tie_fraction < 1.0 and mc.estimate != 0.5
+        assert flipped_mc.estimate + mc.estimate == 1.0
+        assert flipped_mc.tie_fraction == mc.tie_fraction
+        assert flipped_mc.std_error == mc.std_error
+        assert abs(gpn_oracle(task) - (1.0 - oracle)) <= 1e-12
+
     def test_loss_shape_invariance_spot_check(self):
         # absolute and squared losses induce the same half-line event here
         sq = LossFn.from_name("location_squared")
@@ -658,3 +678,19 @@ class TestRunColumns:
             columns_for(ANCHOR_NORMAL, pair, [0.0], LOC_ABS, 2 ** 10), oracle=True
         )
         assert value == pytest.approx(0.7300, abs=1e-3)
+
+
+def test_benchmark_tracer_patch_points_exist(monkeypatch):
+    # the benchmark's tracer patches each point through its owner's own
+    # vars, so a name deleted or moved to a base class breaks its traced run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    for owner, attr, _, _ in tracing.patch_points():
+        assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr}"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert not tracer.restored()
+    finally:
+        tracer.uninstall()
+    assert tracer.restored()

@@ -63,17 +63,17 @@ class TestRestrictedParams:
             p.gap(ProblemKind.SCALE)
 
 
-# Per kind: estimate(x=3, psi=2); halfline(xi=1, psi=3) as (edge, candidate
-# wins below it); the kernel band of the bounds l = [0, 0.5], u = [2, inf];
-# in_domain of CONTRASTS; and whether (-1, 1) and (0, 1) are parameters.
+# Per kind: estimate(x=3, psi=2); the kernel band of the bounds l = [0, 0.5],
+# u = [2, inf]; in_domain of CONTRASTS; and whether (-1, 1) and (0, 1) are
+# parameters.
 CONTRASTS = np.array([-1.0, -0.0, 0.0, 0.5, np.inf, -np.inf, np.nan])
 KIND_RULES = {
     ProblemKind.LOCATION: (
-        1.0, (2.0, True), ([0.0, 0.5], [2.0, np.inf]),
+        1.0, ([0.0, 0.5], [2.0, np.inf]),
         [True, True, True, True, False, False, False], True,
     ),
     ProblemKind.SCALE: (
-        6.0, (0.5, False), ([0.5, 0.0], [np.inf, 2.0]),
+        6.0, ([0.5, 0.0], [np.inf, 2.0]),
         [False, False, False, True, False, False, False], False,
     ),
 }
@@ -97,10 +97,8 @@ def test_problem_kind_conventions(kind, identity, below):
     with pytest.raises(DomainError):
         kind.check_gap(math.nan)
 
-    estimate, halfline, band, in_domain, signed_params = KIND_RULES[kind]
+    estimate, band, in_domain, signed_params = KIND_RULES[kind]
     assert kind.estimate(3.0, 2.0) == estimate
-    edge, wins_below = kind.halfline(np.array([1.0]), np.array([3.0]))
-    assert (edge[0], wins_below[0]) == halfline
     # for scale, 1/0 = inf and 1/inf = 0
     lower, upper = kind.kernel_band(np.array([0.0, 0.5]), np.array([2.0, np.inf]))
     assert lower.tolist() == band[0] and upper.tolist() == band[1]
