@@ -133,12 +133,12 @@ def clamp(base: Estimator, model: ModelSpec, crossings: tuple[float, ...] = ()) 
 
     The median is monotone in the gap, so at each contrast the band is
     spanned by its value at the identity gap and its limit as the gap grows
-    without bound. For every model that limit does not depend on the
-    contrast. It is NaN (0 * inf) where the median ignores the gap, and
-    fmin/fmax then return the identity-gap value. The clamped kernel's
-    breakpoints are the base kernel's, the median's kinks and the
-    crossings, the points where the kernel meets an end of the band, which
-    the caller passes.
+    without bound, which for every model does not depend on the contrast.
+    kind.kernel_band maps both to kernel space and orders them; the limit
+    is NaN (0 * inf) where the median ignores the gap, and both ends are
+    then the identity-gap value. The clamped kernel's breakpoints are the
+    base kernel's, the median's kinks and the crossings, the points where
+    the kernel meets an end of the band, which the caller passes.
     """
     if base.kind is not model.kind:
         raise DomainError("estimator kind does not match the model kind")
@@ -147,11 +147,7 @@ def clamp(base: Estimator, model: ModelSpec, crossings: tuple[float, ...] = ()) 
     far = float(median(component, np.inf, identity))
 
     def clamped(t):
-        # near(t), the median at the identity gap, is a fresh array: the
-        # lower end takes over its buffer, and no other name keeps it alive
-        lower = np.asarray(median(component, identity, t))
-        upper = np.fmax(lower, far)
-        lower, upper = kind.kernel_band(np.fmin(lower, far, out=lower), upper)
+        lower, upper = kind.kernel_band(median(component, identity, t), far)
         return np.maximum(lower, np.minimum(psi(t), upper))
 
     return replace(base, name=base.name + "_star", psi=clamped,

@@ -103,14 +103,17 @@ class ProblemKind(Enum):
         """
         return x - psi if self is ProblemKind.LOCATION else psi * x
 
-    def kernel_band(self, lower, upper):
-        """The band (l, u) of a kernel whose conditional median lies between
-        the arrays lower and upper: (lower, upper) for location, (1/upper,
-        1/lower) for scale.
+    def kernel_band(self, near, far):
+        """The band (l, u) of a kernel whose conditional median runs from the
+        array near to the scalar far: each end maps to kernel space, as it is
+        for location and as 1/x for scale (1/0 = inf, 1/inf = 0), and the
+        band is (fmin, fmax) of the two. A NaN far leaves both ends at near.
         """
-        if self is ProblemKind.LOCATION:
-            return lower, upper
-        return _reciprocal(upper), _reciprocal(lower)
+        if self is ProblemKind.SCALE:
+            # np.divide, since a Python float far of 0.0 would raise
+            with np.errstate(divide="ignore"):
+                near, far = np.divide(1.0, near), np.divide(1.0, far)
+        return np.fmin(near, far), np.fmax(near, far)
 
     def check_gap(self, gap: float) -> None:
         """The gap domain: a location gap is >= 0 and a scale gap >= 1."""
@@ -124,13 +127,6 @@ class ProblemKind(Enum):
         """
         self.check_gap(gap)
         return RestrictedParams(self.identity, gap)
-
-
-def _reciprocal(x):
-    """1/x with the clamp conventions 1/0+ = +inf and 1/inf = 0."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.where(x == 0.0, np.inf, 1.0 / x)
 
 
 @dataclass(frozen=True)
@@ -387,11 +383,8 @@ class ExponentialLocation:
     @_density
     def d_density(self, lam: float, t):
         norm = 1.0 / (self.sigma1 + self.sigma2)
-        return norm * np.where(
-            t >= lam,
-            np.exp(-(t - lam) / self.sigma2),
-            np.exp(-(lam - t) / self.sigma1),
-        )
+        sigma = np.where(t >= lam, self.sigma2, self.sigma1)
+        return norm * np.exp(-np.abs(t - lam) / sigma)
 
     def d_quadrature_segments(self, lam: float) -> list[QuadSegment]:
         return [

@@ -437,6 +437,33 @@ class TestMedianBand:
         assert lo.tobytes() == np.asarray(want_lo).tobytes()
         assert hi.tobytes() == np.asarray(want_hi).tobytes()
 
+    @pytest.mark.parametrize("model", BAND_MODELS)
+    @pytest.mark.parametrize("component", [1, 2])
+    def test_clamp_is_the_median_envelope_mapped_end_by_end(self, model, component):
+        # the reference takes the envelope [l, u] of the median first and
+        # maps it to [1/u, 1/l] for scale, with 1/0 = inf; clamp maps each
+        # end first and takes fmin/fmax. The grid reaches subnormal
+        # contrasts, where the median underflows to 0, and below 1/DBL_MAX,
+        # where the power model's lam / t overflows to inf and min(1, inf)
+        # is still exact; the far end is NaN (0 * inf) when alpha is 0 or 1
+        kind = model.kind
+        tiny = [5e-324, 1e-320, 1e-310, 1e-300]
+        t = contract_grid(kind, tiny + [-x for x in tiny] + [1e300, -1e300])
+        kernels = (lambda t: np.full_like(t, -np.inf), lambda t: np.full_like(t, np.inf),
+                   lambda t: t, np.cbrt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            far = model.cond_median(component, np.inf, kind.identity)
+            near = model.cond_median(component, kind.identity, t)
+            lower, upper = np.fmin(near, far), np.fmax(near, far)
+            if kind is ProblemKind.SCALE:
+                with np.errstate(divide="ignore"):
+                    lower, upper = (np.where(upper == 0.0, np.inf, 1.0 / upper),
+                                    np.where(lower == 0.0, np.inf, 1.0 / lower))
+            for psi in kernels:
+                star = clamp(Estimator("base", component, kind, psi), model)
+                want = np.maximum(lower, np.minimum(psi(t), upper))
+                assert star.psi(t).tobytes() == want.tobytes()
+
     def test_exponential_component2(self):
         m = ExponentialLocation(2.0, 3.0)
         c = m.pooled_scale * LN2

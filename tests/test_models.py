@@ -63,17 +63,26 @@ class TestRestrictedParams:
             p.gap(ProblemKind.SCALE)
 
 
-# Per kind: estimate(x=3, psi=2); the kernel band of the bounds l = [0, 0.5],
-# u = [2, inf]; in_domain of CONTRASTS; and whether (-1, 1) and (0, 1) are
-# parameters.
+# Per kind: estimate(x=3, psi=2); the kernel band (lower, upper) of the
+# medians near = BAND_NEAR and each far in BAND_FARS; in_domain of
+# CONTRASTS; and whether (-1, 1) and (0, 1) are parameters.
 CONTRASTS = np.array([-1.0, -0.0, 0.0, 0.5, np.inf, -np.inf, np.nan])
+BAND_NEAR = np.array([0.0, 0.5, 2.0, np.inf])
+BAND_FARS = (1.0, 0.0, math.nan)
+INF = math.inf
 KIND_RULES = {
     ProblemKind.LOCATION: (
-        1.0, ([0.0, 0.5], [2.0, np.inf]),
+        1.0,
+        [([0.0, 0.5, 1.0, 1.0], [1.0, 1.0, 2.0, INF]),
+         ([0.0, 0.0, 0.0, 0.0], [0.0, 0.5, 2.0, INF]),
+         ([0.0, 0.5, 2.0, INF], [0.0, 0.5, 2.0, INF])],  # a NaN far: both ends near
         [True, True, True, True, False, False, False], True,
     ),
     ProblemKind.SCALE: (
-        6.0, ([0.5, 0.0], [np.inf, 2.0]),
+        6.0,
+        [([1.0, 1.0, 0.5, 0.0], [INF, 2.0, 1.0, 1.0]),  # 1/0 = inf, 1/inf = 0
+         ([INF, 2.0, 0.5, 0.0], [INF, INF, INF, INF]),
+         ([INF, 2.0, 0.5, 0.0], [INF, 2.0, 0.5, 0.0])],
         [False, False, False, True, False, False, False], False,
     ),
 }
@@ -97,11 +106,11 @@ def test_problem_kind_conventions(kind, identity, below):
     with pytest.raises(DomainError):
         kind.check_gap(math.nan)
 
-    estimate, band, in_domain, signed_params = KIND_RULES[kind]
+    estimate, bands, in_domain, signed_params = KIND_RULES[kind]
     assert kind.estimate(3.0, 2.0) == estimate
-    # for scale, 1/0 = inf and 1/inf = 0
-    lower, upper = kind.kernel_band(np.array([0.0, 0.5]), np.array([2.0, np.inf]))
-    assert lower.tolist() == band[0] and upper.tolist() == band[1]
+    for far, (want_lower, want_upper) in zip(BAND_FARS, bands):
+        lower, upper = kind.kernel_band(BAND_NEAR, far)
+        assert lower.tolist() == want_lower and upper.tolist() == want_upper
     assert kind.in_domain(CONTRASTS).tolist() == in_domain
 
     # check_contrast rejects exactly what in_domain excludes
@@ -391,6 +400,10 @@ class TestContrastDensity:
         [
             BivariateNormal(1.0, 1.0, 0.0),
             ExponentialLocation(1.0, 3.0),
+            # the segments reach 45 sigma on each side of lam, so some nodes
+            # would overflow exp in the other side's formula (over 709.78)
+            ExponentialLocation(1.0, 20.0),
+            ExponentialLocation(20.0, 1.0),
             GammaScale(0.5, 0.2),
             GammaScale(30.0, 1.0),
             PowerScale(1.0, 1.0),
