@@ -510,7 +510,10 @@ class PowerScale:
         return u1, u2
 
     def _s_max(self, component: int, lam: float, t):
-        ratio = lam / t if component == 1 else t / lam
+        # lam / t overflows to inf below t = lam / DBL_MAX, where the
+        # minimum is 1 all the same
+        with np.errstate(over="ignore"):
+            ratio = lam / t if component == 1 else t / lam
         return np.minimum(1.0, ratio)
 
     def _median(self, component: int, lam: float, t):

@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_LN2 = math.log(2.0)
 _EPS = 2.220446049250313e-16
 
 # Lanczos approximation, g=7, 9 coefficients.
@@ -187,47 +188,64 @@ def _gamma_pdf(alpha: float, x: float) -> float:
     return math.exp(-x + (alpha - 1.0) * math.log(x) - gammaln(alpha))
 
 
-def gamma_median(alpha: float, max_iter: int = _MAX_ITER) -> float:
-    """Median of the Gamma(alpha, 1) distribution.
-
-    Bracketed bisection to width 1e-8 followed by Newton polish; the result
-    satisfies |P(alpha, m) - 1/2| <= 1e-12. max_iter budgets each stage of
-    the root search itself; CDF evaluations run at the default budget.
+def _newton_median(alpha: float, m: float, lo: float, hi: float, max_iter: int):
+    """Newton steps on P(alpha, m) = 1/2 from m, while each step lands in
+    (lo, hi) and reduces the residual, until it is at most 1e-13. Returns the
+    last accepted m and its residual P(alpha, m) - 1/2.
     """
-    if not alpha > 0.0:
-        raise DomainError(f"gamma_median requires alpha > 0, got {alpha}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    lo = max(alpha - 1.0 / 3.0, 1e-300)
-    hi = alpha
-    # widen in case the Chen-Rubin bracket does not apply (small alpha)
-    for _ in range(max_iter):
-        if regularized_gamma_p(alpha, lo) < 0.5:
-            break
-        lo *= 0.5
-    for _ in range(max_iter):
-        if regularized_gamma_p(alpha, hi) > 0.5:
-            break
-        hi *= 2.0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if regularized_gamma_p(alpha, mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-8 * max(1.0, hi):
-            break
-    m = 0.5 * (lo + hi)
     residual = regularized_gamma_p(alpha, m) - 0.5
     for _ in range(max_iter):
         if abs(residual) <= 1e-13:
             break
         deriv = _gamma_pdf(alpha, m)
-        if deriv <= 0.0:
+        if not deriv > 0.0:
             break
-        m -= residual / deriv
-        m = min(max(m, lo * 0.5), hi * 2.0)
-        residual = regularized_gamma_p(alpha, m) - 0.5
+        step = m - residual / deriv
+        # NaN fails the comparison too
+        if not lo < step < hi:
+            break
+        step_residual = regularized_gamma_p(alpha, step) - 0.5
+        # at large shapes the residual stalls at P's rounding
+        if not abs(step_residual) < abs(residual):
+            break
+        m, residual = step, step_residual
+    return m, residual
+
+
+def gamma_median(alpha: float, max_iter: int = _MAX_ITER) -> float:
+    """Median of the Gamma(alpha, 1) distribution.
+
+    Newton steps on P(alpha, m) = 1/2 from a closed-form start: below shape
+    1, (Gamma(alpha + 1)/2)^(1/alpha), where the series' first term
+    x^alpha / Gamma(alpha + 1) is 1/2; from shape 1 up, Choi's (1994)
+    alpha - 1/3 + 8/(405 alpha). Each step must land in the Chen & Rubin
+    (1986) bracket max(alpha - 1/3, 0) < m < alpha and reduce |P - 1/2|.
+    If the steps end above 1e-12, the search bisects the bracket to width
+    1e-8 and takes Newton steps from there. The result satisfies
+    |P(alpha, m) - 1/2| <= 1e-12. max_iter budgets each stage of the root
+    search itself; CDF evaluations run at the default budget.
+    """
+    if not alpha > 0.0:
+        raise DomainError(f"gamma_median requires alpha > 0, got {alpha}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    lo = max(alpha - 1.0 / 3.0, 0.0)
+    hi = alpha
+    if alpha < 1.0:
+        m = math.exp((gammaln(alpha + 1.0) - _LN2) / alpha)
+    else:
+        m = alpha - 1.0 / 3.0 + 8.0 / (405.0 * alpha)
+    m, residual = _newton_median(alpha, m, lo, hi, max_iter)
+    if abs(residual) > 1e-12:
+        for _ in range(max_iter):
+            mid = 0.5 * (lo + hi)
+            if regularized_gamma_p(alpha, mid) < 0.5:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-8 * max(1.0, hi):
+                break
+        m, residual = _newton_median(alpha, 0.5 * (lo + hi), lo, hi, max_iter)
     if abs(residual) > 1e-12:
         raise ConvergenceError(
             f"gamma_median({alpha}) residual {residual:.3e} exceeds 1e-12",

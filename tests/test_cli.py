@@ -602,6 +602,9 @@ GOLDEN = [
     (["run", str(DATA / "run_normal_nu.json")], "run_normal_nu.md"),
     (["table", "2", "--samples", "2000", "--oracle", "--out", "csv"],
      "table2_n2000_oracle.csv"),
+    (["run", str(DATA / "run_power_oracle.json")], "run_power_oracle.csv"),
+    (["run", str(DATA / "run_exponential_wide.json"), "--oracle", "--out", "csv"],
+     "run_exponential_wide.csv"),
 ]
 
 # A table's cells run on one pool across all its columns; the bytes must not

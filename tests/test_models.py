@@ -194,6 +194,12 @@ class TestCondMedian:
     def test_power_anchor(self):
         assert POWER.cond_median(2, 1.0, 1.0) == pytest.approx(2.0 ** -0.5, abs=1e-14)
 
+    def test_power_subnormal_contrast(self):
+        # component 1's lam / t overflows below t = lam / DBL_MAX, where
+        # min(1, lam / t) is 1 all the same; pytest makes the warning an error
+        assert POWER.cond_median(1, 1.0, 1e-310) == 2.0 ** -0.5
+        assert POWER.cond_cdf(1, 1.0, 1e-310, 0.5) == 0.25
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             NORMAL.cond_median(1, -0.5, 0.0)

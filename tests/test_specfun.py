@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pitnear import specfun
 from pitnear.errors import ConvergenceError, DomainError
 from pitnear.specfun import (
     _gamma_p_series,
+    _gamma_pdf,
     _gamma_q_contfrac,
     gamma_median,
     gammaln,
@@ -210,6 +212,46 @@ class TestGammaMedian:
     def test_max_iter_validated(self):
         with pytest.raises(DomainError):
             gamma_median(5.0, max_iter=0)
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.7, 0.8, 1.0, 2.0, 5.0, 7.0, 30.0, 31.0])
+    def test_call_budget(self, monkeypatch, alpha):
+        # the shapes of the built-in tables and the certification cells:
+        # Newton from the closed-form start, with no bisection
+        calls = []
+
+        def counting(a, x):
+            calls.append(x)
+            return regularized_gamma_p(a, x)
+
+        monkeypatch.setattr(specfun, "regularized_gamma_p", counting)
+        gamma_median(alpha)
+        assert len(calls) <= 6
+
+    def test_geometric_grid(self):
+        # above shape ~440 P's rounding floor (~2.2e-13) exceeds the 1e-13
+        # target, and the steps stop once the residual no longer falls
+        for alpha in np.geomspace(1e-3, 500.0, 241):
+            m = gamma_median(alpha)
+            assert abs(regularized_gamma_p(alpha, m) - 0.5) <= 1e-12
+            if alpha >= 1.0 / 3.0:
+                assert alpha - 1.0 / 3.0 < m < alpha
+
+    def test_zero_density_falls_back_to_bisection(self, monkeypatch):
+        densities = []
+
+        def first_zero(alpha, x):
+            densities.append(x)
+            return 0.0 if len(densities) == 1 else _gamma_pdf(alpha, x)
+
+        monkeypatch.setattr(specfun, "_gamma_pdf", first_zero)
+        assert gamma_median(2.5) == pytest.approx(GAMMA25_MEDIAN, rel=1e-13)
+        assert len(densities) > 1
+
+    def test_underflowing_median_raises(self):
+        # the median of shape 1e-4 is about 2^-10000, below the subnormals
+        with pytest.raises(ConvergenceError) as exc:
+            gamma_median(1e-4)
+        assert exc.value.achieved is not None
 
 
 class TestNormalCdf:
