@@ -13,8 +13,8 @@ import mpmath
 mpmath.mp.dps = 50
 
 SHAPES = ("0.2", "0.7", "31")
-# 1e-6 to 1e3, with points just below, at and just above the series /
-# continued-fraction split at alpha + 1
+# 1e-6 to 1e3, with points just below, at and just above alpha + 1 and the
+# series / continued-fraction split, max(alpha + 1, 3.5)
 COMMON_X = (1e-6, 1e-3, 0.05, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 1000.0)
 SPLIT_OFFSETS = (-0.01, 0.0, 0.01)
 
@@ -25,7 +25,8 @@ def main():
     lines = []
     for shape in SHAPES:
         a = float(shape)
-        xs = sorted(set(COMMON_X) | {a + 1.0 + d for d in SPLIT_OFFSETS})
+        ends = {a + 1.0, max(a + 1.0, 3.5)}
+        xs = sorted(set(COMMON_X) | {e + d for e in ends for d in SPLIT_OFFSETS})
         rows = []
         for x in xs:
             p = mpmath.gammainc(mpmath.mpf(a), 0, mpmath.mpf(x), regularized=True)

@@ -9,7 +9,7 @@ from pitnear.errors import ConvergenceError
 from pitnear.estimators import LossFn, resolve_estimator
 from pitnear.gpn import ComparisonTask
 from pitnear.models import GammaScale, PowerScale
-from pitnear.quadrature import _WG, _WK, _XK, adaptive_quadrature
+from pitnear.quadrature import _WG, _WK, _XK, _panels, adaptive_quadrature
 
 
 def test_smooth_integrand():
@@ -69,6 +69,22 @@ def test_kronrod_weights_sum_to_two():
     assert _WG.sum() == pytest.approx(2.0, abs=1e-15)
 
 
+def test_panel_sums_batch_independent():
+    # a panel's (value, error) is the same bits alone as among 6 or 1,002
+    # other panels in one call
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(-20.0, 20.0, 1003)
+    bounds = list(zip(lo.tolist(), (lo + 10.0 ** rng.uniform(-12.0, 1.0, lo.size)).tolist()))
+
+    def f(x):
+        return np.exp(0.3 * x) * np.sin(7.0 * x) + 1.0 / (1.0 + x * x)
+
+    alone = np.array([_panels(f, [panel])[0] for panel in bounds]).tobytes()
+    in_sevens = [v for i in range(0, len(bounds), 7) for v in _panels(f, bounds[i:i + 7])]
+    assert np.array(in_sevens).tobytes() == alone
+    assert np.array(_panels(f, bounds)).tobytes() == alone
+
+
 def _greedy_one_panel_per_call(
     f, a, b, *, breakpoints=(), abs_tol=1e-9, rel_tol=0.0, max_panels=2000
 ):
@@ -79,12 +95,7 @@ def _greedy_one_panel_per_call(
     """
 
     def panel(lo, hi):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        y = f(mid + half * _XK)
-        k15 = half * float(np.dot(_WK, y))
-        g7 = half * float(np.dot(_WG, y[1::2]))
-        return k15, abs(k15 - g7)
+        return _panels(f, [(lo, hi)])[0]
 
     cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
     heap = []
@@ -165,15 +176,22 @@ def test_grouped_calls_keep_the_greedy_partition(name):
         assert n_calls <= 2 * math.log2(bisections)
 
 
-@pytest.mark.parametrize(
-    "bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
-)
-def test_non_finite_panel_raises(bad):
-    # a value that is not finite at a node makes that panel's K15 and G7
-    # sums non-finite: no number is returned for the integral
-    def f(x):
-        return np.where(x > 0.7, bad, 1.0)
+# integrands not finite above 0.7; the last has inf and -inf in one panel,
+# whose sums are then NaN
+NON_FINITE = {
+    "nan": lambda x: np.where(x > 0.7, np.nan, 1.0),
+    "inf": lambda x: np.where(x > 0.7, np.inf, 1.0),
+    "-inf": lambda x: np.where(x > 0.7, -np.inf, 1.0),
+    "inf and -inf": lambda x: np.where(x > 0.7, np.inf, np.where(x < 0.3, -np.inf, 1.0)),
+}
 
+
+@pytest.mark.parametrize("name", list(NON_FINITE))
+def test_non_finite_panel_raises(name):
+    # a value that is not finite at a node makes that panel's K15 and G7
+    # sums non-finite: no number is returned for the integral, and numpy
+    # does not warn first
+    f = NON_FINITE[name]
     with pytest.raises(ConvergenceError, match="non-finite"):
         adaptive_quadrature(f, 0.0, 1.0)
     with pytest.raises(ConvergenceError, match="non-finite"):

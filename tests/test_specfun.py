@@ -11,6 +11,7 @@ from pitnear.specfun import (
     _gamma_p_series,
     _gamma_pdf,
     _gamma_q_contfrac,
+    _series_split,
     gamma_median,
     gammaln,
     normal_cdf,
@@ -47,10 +48,12 @@ def trapezoid_gamma_p(alpha, x, n=200001):
 
 
 def closed_form_grid(alpha):
-    """x from 1e-6 to 1e3, plus points on both sides of the series /
-    continued-fraction split at alpha + 1."""
-    split = alpha + 1.0 + np.array([-0.01, -1e-9, 0.0, 1e-9, 0.01])
-    return np.sort(np.concatenate([np.logspace(-6.0, 3.0, 46), split]))
+    """x from 1e-6 to 1e3, plus points on both sides of alpha + 1 and of the
+    series / continued-fraction split."""
+    offsets = np.array([-0.01, -1e-9, 0.0, 1e-9, 0.01])
+    ends = np.unique([alpha + 1.0, _series_split(alpha)])
+    near = (ends[:, None] + offsets).ravel()
+    return np.sort(np.concatenate([np.logspace(-6.0, 3.0, 46), near]))
 
 
 def integer_shape_p(n, x):
@@ -105,10 +108,12 @@ class TestRegularizedGammaP:
 
     @pytest.mark.parametrize("alpha", [0.2, 0.7, 3.7])
     def test_batch_independent(self, alpha):
-        # series (x < alpha + 1) and continued-fraction arguments in one
-        # batch; the last point converges after 120.0, ahead of it in the batch
-        x = np.array([0.0, 1e-9, 0.3, alpha + 0.99, alpha + 1.0, 2.5, 7.0,
-                      alpha + 40.0, 1e-4, np.inf, 0.95 * alpha, 120.0, alpha + 3.0])
+        # series and continued-fraction arguments in one batch, next to
+        # the split; the last point converges after 120.0, ahead of it in
+        # the batch
+        split = _series_split(alpha)
+        x = np.array([0.0, 1e-9, 0.3, alpha + 0.99, alpha + 1.0, 2.5, 7.0, split - 0.01,
+                      split, alpha + 40.0, 1e-4, np.inf, 0.95 * alpha, 120.0, alpha + 3.0])
         assert_batch_independent(lambda v: regularized_gamma_p(alpha, v), x)
 
     # Tolerances in units of eps, set from the largest error of the earlier
@@ -146,8 +151,10 @@ class TestRegularizedGammaP:
         x = np.array([float(v) for v, _ in rows])
         want = np.array([float(p) for _, p in rows])
         assert x.min() <= 1e-6 and x.max() >= 1e3
-        split = float(shape) + 1.0
+        # the points straddle the split the code uses
+        split = _series_split(float(shape))
         assert (x < split).any() and (x == split).any() and (x > split).any()
+        assert (x == split - 0.01).any() and (x == split + 0.01).any()
         np.testing.assert_allclose(
             regularized_gamma_p(float(shape), x), want, rtol=rtol, atol=0.0
         )
@@ -159,6 +166,15 @@ class TestRegularizedGammaP:
             _gamma_p_series(0.7, np.array([0.01, 1.6]), max_iter)
         with pytest.raises(ConvergenceError, match="continued fraction"):
             _gamma_q_contfrac(0.7, np.array([1.8, 30.0]), max_iter)
+
+    def test_split_keeps_both_loops_short(self):
+        # at alpha = 0.7 each loop converges within 30 terms on its side of
+        # the split, or raises; at alpha + 1 the fraction needed 48
+        split = _series_split(0.7)
+        x = np.unique(np.concatenate([np.linspace(0.0, 10.0, 2001), np.logspace(1.0, 3.0, 200),
+                                      [np.nextafter(split, 0.0), split]]))
+        _gamma_p_series(0.7, x[x < split], 30)
+        _gamma_q_contfrac(0.7, x[x >= split], 30)
 
     @pytest.mark.parametrize(
         "fn, x", [(_gamma_p_series, 0.01), (_gamma_q_contfrac, 30.0)], ids=["series", "contfrac"]
