@@ -115,8 +115,9 @@ def adaptive_quadrature(
     kinks do not degrade the error estimates. A panel of the partition whose
     K15 or G7 sum is not finite raises ConvergenceError.
     """
-    if not b > a:
-        raise ConvergenceError(f"empty integration interval [{a}, {b}]")
+    # NaN fails the comparison too
+    if not -math.inf < a < b < math.inf:
+        raise ConvergenceError(f"integration interval [{a}, {b}] is empty or not finite")
     cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
     # max-heap on error via negated key; the last field is the panel's number
     # of bisections below its initial panel

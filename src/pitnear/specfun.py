@@ -24,8 +24,8 @@ _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
 _EPS = 2.220446049250313e-16
 
-# Iteration budget of the series, the continued fraction and, by default,
-# each stage of the median search.
+# Iteration budget of the series, the continued fraction and the median's
+# Newton steps.
 _MAX_ITER = 200
 # Terms per block of the series and the continued fraction: convergence is
 # tested, and converged elements are dropped, once per block.
@@ -172,70 +172,44 @@ def regularized_gamma_p(alpha: float, x):
     return float(out[0]) if scalar else out
 
 
-def _gamma_pdf(alpha: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    return math.exp(-x + (alpha - 1.0) * math.log(x) - gammaln(alpha))
+def gamma_median(alpha: float) -> float:
+    """Median of the Gamma(alpha, 1) distribution.
 
-
-def _newton_median(alpha: float, m: float, lo: float, hi: float, max_iter: int):
-    """Newton steps on P(alpha, m) = 1/2 from m, while each step lands in
-    (lo, hi) and reduces the residual, until it is at most 1e-13. Returns the
-    last accepted m and its residual P(alpha, m) - 1/2.
+    Newton steps on P(alpha, m) = 1/2 from a closed-form start: below shape
+    1, (Gamma(alpha + 1)/2)^(1/alpha), where the series' first term
+    x^alpha / Gamma(alpha + 1) is 1/2; from shape 1 up, Choi's (1994)
+    alpha - 1/3 + 8/(405 alpha). Each of at most _MAX_ITER steps must land
+    in the Chen & Rubin (1986) bracket max(alpha - 1/3, 0) < m < alpha and
+    reduce |P - 1/2|. The steps stop at 1e-13, or where the density at m
+    leaves binary64 range: below shape ~9.6e-4 the median underflows. A
+    last residual above 1e-12 raises ConvergenceError.
     """
+    if not alpha > 0.0:
+        raise DomainError(f"gamma_median requires alpha > 0, got {alpha}")
+    lo = max(alpha - 1.0 / 3.0, 0.0)
+    if alpha < 1.0:
+        m = math.exp((gammaln(alpha + 1.0) - _LN2) / alpha)
+    else:
+        m = alpha - 1.0 / 3.0 + 8.0 / (405.0 * alpha)
+    log_norm = gammaln(alpha)
     residual = regularized_gamma_p(alpha, m) - 0.5
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if abs(residual) <= 1e-13:
             break
-        deriv = _gamma_pdf(alpha, m)
-        if not deriv > 0.0:
+        try:
+            # P's derivative is the density; log fails at a start that
+            # underflowed to 0, exp where the density overflows
+            step = m - residual / math.exp(-m + (alpha - 1.0) * math.log(m) - log_norm)
+        except (ValueError, ArithmeticError):
             break
-        step = m - residual / deriv
         # NaN fails the comparison too
-        if not lo < step < hi:
+        if not lo < step < alpha:
             break
         step_residual = regularized_gamma_p(alpha, step) - 0.5
         # at large shapes the residual stalls at P's rounding
         if not abs(step_residual) < abs(residual):
             break
         m, residual = step, step_residual
-    return m, residual
-
-
-def gamma_median(alpha: float, max_iter: int = _MAX_ITER) -> float:
-    """Median of the Gamma(alpha, 1) distribution.
-
-    Newton steps on P(alpha, m) = 1/2 from a closed-form start: below shape
-    1, (Gamma(alpha + 1)/2)^(1/alpha), where the series' first term
-    x^alpha / Gamma(alpha + 1) is 1/2; from shape 1 up, Choi's (1994)
-    alpha - 1/3 + 8/(405 alpha). Each step must land in the Chen & Rubin
-    (1986) bracket max(alpha - 1/3, 0) < m < alpha and reduce |P - 1/2|.
-    If the steps end above 1e-12, the search bisects the bracket to width
-    1e-8 and takes Newton steps from there. The result satisfies
-    |P(alpha, m) - 1/2| <= 1e-12. max_iter budgets each stage of the root
-    search itself; CDF evaluations run at the default budget.
-    """
-    if not alpha > 0.0:
-        raise DomainError(f"gamma_median requires alpha > 0, got {alpha}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    lo = max(alpha - 1.0 / 3.0, 0.0)
-    hi = alpha
-    if alpha < 1.0:
-        m = math.exp((gammaln(alpha + 1.0) - _LN2) / alpha)
-    else:
-        m = alpha - 1.0 / 3.0 + 8.0 / (405.0 * alpha)
-    m, residual = _newton_median(alpha, m, lo, hi, max_iter)
-    if abs(residual) > 1e-12:
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            if regularized_gamma_p(alpha, mid) < 0.5:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-8 * max(1.0, hi):
-                break
-        m, residual = _newton_median(alpha, 0.5 * (lo + hi), lo, hi, max_iter)
     if abs(residual) > 1e-12:
         raise ConvergenceError(
             f"gamma_median({alpha}) residual {residual:.3e} exceeds 1e-12",
@@ -244,10 +218,8 @@ def gamma_median(alpha: float, max_iter: int = _MAX_ITER) -> float:
     return m
 
 
-def normal_cdf(z) -> float:
+def normal_cdf(z):
     """Standard normal CDF via erfc; accepts a scalar or ndarray."""
-    if np.ndim(z) == 0:
-        return 0.5 * math.erfc(-float(z) / _SQRT2)
     arr = np.asarray(z, dtype=float)
     args = (-arr / _SQRT2).ravel().tolist()
     erfc = np.fromiter(map(math.erfc, args), dtype=float, count=arr.size)

@@ -457,6 +457,24 @@ class TestCommandLine:
         if code:
             assert "alpha1 + alpha2 must be at most 500" in result.output
 
+    def test_subnormal_gamma_median_exits_4(self, tmp_path):
+        # the median of shape 0.00094 is subnormal, where the Newton steps
+        # stop on the density's overflow
+        cfg = {
+            "model": {"name": "gamma", "alpha1": 0.00094, "alpha2": 1.0},
+            "component": 1,
+            "pairs": [["pnsee_star", "pnsee"]],
+            "gaps": [2.0],
+            "loss": "scale_abs",
+            "n_samples": 100,
+        }
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 4, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: gamma_median(0.00094) residual ")
+
     def test_table_id_bool_exits_2(self, tmp_path):
         path = tmp_path / "table.json"
         path.write_text(json.dumps({"table": True, "n_samples": 100}))

@@ -50,9 +50,15 @@ def test_panel_budget_error():
         adaptive_quadrature(f, 0.0, 1.0, abs_tol=1e-9, max_panels=3)
 
 
-def test_empty_interval_rejected():
+@pytest.mark.parametrize(
+    "a, b", [(1.0, 1.0), (-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0)]
+)
+def test_empty_interval_rejected(a, b):
+    def never(x):
+        raise AssertionError("integrand called")
+
     with pytest.raises(ConvergenceError):
-        adaptive_quadrature(np.sin, 1.0, 1.0)
+        adaptive_quadrature(never, a, b)
 
 
 def test_kronrod_rule_exact_monomials():

@@ -9,7 +9,6 @@ from pitnear import specfun
 from pitnear.errors import ConvergenceError, DomainError
 from pitnear.specfun import (
     _gamma_p_series,
-    _gamma_pdf,
     _gamma_q_contfrac,
     _series_split,
     gamma_median,
@@ -220,19 +219,17 @@ class TestGammaMedian:
         with pytest.raises(DomainError):
             gamma_median(-1.0)
 
-    def test_reports_residual_on_failure(self):
+    @pytest.mark.parametrize("alpha", [9.4e-4, 9.5e-4])
+    def test_reports_residual_on_failure(self, alpha):
+        # the medians are subnormal, near e^-738 and e^-730, where the
+        # density's factor m^(alpha - 1) overflows
         with pytest.raises(ConvergenceError) as exc:
-            gamma_median(5.0, max_iter=1)
+            gamma_median(alpha)
         assert exc.value.achieved is not None
-
-    def test_max_iter_validated(self):
-        with pytest.raises(DomainError):
-            gamma_median(5.0, max_iter=0)
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.7, 0.8, 1.0, 2.0, 5.0, 7.0, 30.0, 31.0])
     def test_call_budget(self, monkeypatch, alpha):
-        # the shapes of the built-in tables and the certification cells:
-        # Newton from the closed-form start, with no bisection
+        # the shapes of the built-in tables and the certification cells
         calls = []
 
         def counting(a, x):
@@ -251,17 +248,6 @@ class TestGammaMedian:
             assert abs(regularized_gamma_p(alpha, m) - 0.5) <= 1e-12
             if alpha >= 1.0 / 3.0:
                 assert alpha - 1.0 / 3.0 < m < alpha
-
-    def test_zero_density_falls_back_to_bisection(self, monkeypatch):
-        densities = []
-
-        def first_zero(alpha, x):
-            densities.append(x)
-            return 0.0 if len(densities) == 1 else _gamma_pdf(alpha, x)
-
-        monkeypatch.setattr(specfun, "_gamma_pdf", first_zero)
-        assert gamma_median(2.5) == pytest.approx(GAMMA25_MEDIAN, rel=1e-13)
-        assert len(densities) > 1
 
     def test_underflowing_median_raises(self):
         # the median of shape 1e-4 is about 2^-10000, below the subnormals
