@@ -108,7 +108,7 @@ class ComparisonTask:
             )
         if self.n_samples < 1:
             raise DomainError(f"n_samples must be >= 1, got {self.n_samples}")
-        kind.check_params(self.params)
+        kind.check_gap(self.params.gap(kind))
 
 
 def gpn_monte_carlo(
@@ -174,9 +174,11 @@ def _identity_draws(task: ComparisonTask) -> tuple[np.ndarray, np.ndarray]:
 def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
     """Deterministic GPN: the probability of the loss's half-line event
     integrated against the contrast density by adaptive quadrature, with
-    kernel breakpoints inserted as panel boundaries. A kernel value that is
-    not finite at a node fails the cell with a DomainError, as it fails a
-    draw of the Monte Carlo engine.
+    kernel breakpoints inserted as panel boundaries. Each integrand call
+    checks only that its nodes lie in the contrast's domain, then calls the
+    model's unchecked _pdf and _cdf. A node outside it, or a kernel value
+    that is not finite at a node, fails the cell with a DomainError, as it
+    fails a draw of the Monte Carlo engine.
     """
     if task.candidate == task.reference:
         return 0.5
@@ -195,7 +197,8 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
 
         def integrand(s, _seg=seg):
             t = _seg.to_t(s)
-            weight = model.d_density(lam, t) * _seg.jacobian(s)
+            model.kind.check_contrast(t)
+            weight = model._pdf(lam, t) * _seg.jacobian(s)
             xi = task.candidate.psi(t)
             ps = task.reference.psi(t)
             if not (np.isfinite(xi).all() and np.isfinite(ps).all()):
@@ -205,7 +208,7 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
                 )
             # P[candidate beats reference | D = t]: the pivot's half-line event
             edge, below = task.loss.halfline(xi, ps)
-            cdf = model.cond_cdf(component, lam, t, edge)
+            cdf = model._cdf(component, lam, t, edge)
             g = np.where(xi == ps, 0.5, np.where(below, cdf, 1.0 - cdf))
             return (g - 0.5) * weight
 

@@ -6,10 +6,11 @@ D = X2 - X1 with gap parameter lam = theta2 - theta1 >= 0; scale models use
 D = X2 / X1 with lam = theta2 / theta1 >= 1. ProblemKind owns every rule that
 differs between the two groups: the identity gap, the contrast, its domain
 and its inverse, the parameter and gap checks, the equivariant estimate
-X_i - psi(D) or psi(D) * X_i and the clamp band of a kernel. All
-evaluation methods accept scalars or ndarrays and are pure. Sampling draws
-arrays only: size draws of each component from a caller-owned numpy
-Generator, returned as the pair (x1, x2).
+X_i - psi(D) or psi(D) * X_i and the clamp band of a kernel. The engines
+call each model's unchecked element-wise bodies _median, _cdf and _pdf; the
+pure cond_median, cond_cdf and d_density check their arguments (scalars or
+ndarrays) first. Sampling draws arrays only: size draws of each component
+from a caller-owned numpy Generator, returned as the pair (x1, x2).
 """
 
 from __future__ import annotations
@@ -186,12 +187,15 @@ def _ratio_segments(lam: float) -> list[QuadSegment]:
     def to_t_lower(s):
         return lam * np.clip(s, _SEG_FLOOR, None)
 
+    # Near v = 0 the jacobian is inf above lam = 1.8e68 and t above 1.8e188;
+    # the oracle's contrast or finite-sum check fails such a node instead.
     def to_t_upper(v):
-        return lam / np.clip(v, _SEG_FLOOR, None)
+        with np.errstate(over="ignore"):
+            return lam / np.clip(v, _SEG_FLOOR, None)
 
     def jac_upper(v):
-        v = np.clip(v, _SEG_FLOOR, None)
-        return lam / (v * v)
+        with np.errstate(over="ignore"):
+            return lam / np.clip(v, _SEG_FLOOR, None) ** 2
 
     return [
         QuadSegment(0.0, 1.0, to_t_lower, lambda s: lam * np.ones_like(s),
@@ -205,10 +209,10 @@ def _float_or_array(x):
 
 
 def _conditional(method):
-    """Argument handling shared by cond_median(component, lam, t) and
-    cond_cdf(component, lam, t, s): checks the component, gap and contrast,
-    passes t (and s) on as float64 arrays, and returns a 0-d result as a
-    float. Each model's unchecked _median also takes an infinite gap.
+    """cond_median(component, lam, t) or cond_cdf(component, lam, t, s) of
+    the unchecked body _median or _cdf: checks the component, gap and
+    contrast, passes t (and s) on as float64 arrays, and returns a 0-d
+    result as a float. _median also takes an infinite gap.
     """
 
     @wraps(method)
@@ -224,7 +228,7 @@ def _conditional(method):
 
 
 def _density(method):
-    """Argument handling of d_density(lam, t), as for _conditional."""
+    """d_density(lam, t) of the unchecked body _pdf, as for _conditional."""
 
     @wraps(method)
     def wrapper(self, lam, t):
@@ -304,18 +308,18 @@ class BivariateNormal:
             return (self.alpha - 1.0) * (t - lam)
         return self.alpha * (t - lam)
 
-    cond_median = _conditional(_median)
-
-    @_conditional
-    def cond_cdf(self, component: int, lam: float, t, s):
+    def _cdf(self, component: int, lam: float, t, s):
         m = self._median(component, lam, t)
         return normal_cdf((s - m) / self.cond_sd)
 
-    @_density
-    def d_density(self, lam: float, t):
+    def _pdf(self, lam: float, t):
         return np.exp(-0.5 * (t - lam) ** 2 / self.tau2) / math.sqrt(
             2.0 * math.pi * self.tau2
         )
+
+    cond_median = _conditional(_median)
+    cond_cdf = _conditional(_cdf)
+    d_density = _density(_pdf)
 
     def d_quadrature_segments(self, lam: float) -> list[QuadSegment]:
         tau = math.sqrt(self.tau2)
@@ -373,18 +377,18 @@ class ExponentialLocation:
     def _median(self, component: int, lam: float, t):
         return self._shift(component, lam, t) + self.pooled_scale * _LN2
 
-    cond_median = _conditional(_median)
-
-    @_conditional
-    def cond_cdf(self, component: int, lam: float, t, s):
+    def _cdf(self, component: int, lam: float, t, s):
         shift = self._shift(component, lam, t)
         return -np.expm1(-self.rate * np.maximum(s - shift, 0.0))
 
-    @_density
-    def d_density(self, lam: float, t):
+    def _pdf(self, lam: float, t):
         norm = 1.0 / (self.sigma1 + self.sigma2)
         sigma = np.where(t >= lam, self.sigma2, self.sigma1)
         return norm * np.exp(-np.abs(t - lam) / sigma)
+
+    cond_median = _conditional(_median)
+    cond_cdf = _conditional(_cdf)
+    d_density = _density(_pdf)
 
     def d_quadrature_segments(self, lam: float) -> list[QuadSegment]:
         return [
@@ -445,23 +449,18 @@ class GammaScale:
             return nu / (1.0 + t / lam)
         return t * nu / (lam + t)
 
-    cond_median = _conditional(_median)
-
-    def _cond_rate(self, component: int, lam: float, t):
-        return 1.0 + t / lam if component == 1 else 1.0 + lam / t
-
-    @_conditional
-    def cond_cdf(self, component: int, lam: float, t, s):
-        rate = self._cond_rate(component, lam, t)
+    def _cdf(self, component: int, lam: float, t, s):
+        rate = 1.0 + t / lam if component == 1 else 1.0 + lam / t
         return regularized_gamma_p(self.alpha1 + self.alpha2, np.maximum(rate * s, 0.0))
 
-    def _ratio_log_density(self, u: np.ndarray) -> np.ndarray:
-        a1, a2 = self.alpha1, self.alpha2
-        return (a2 - 1.0) * np.log(u) - (a1 + a2) * np.log1p(u) - self._log_beta
+    def _pdf(self, lam: float, t):
+        a1, a2, u = self.alpha1, self.alpha2, t / lam
+        log_density = (a2 - 1.0) * np.log(u) - (a1 + a2) * np.log1p(u) - self._log_beta
+        return np.exp(log_density) / lam
 
-    @_density
-    def d_density(self, lam: float, t):
-        return np.exp(self._ratio_log_density(t / lam)) / lam
+    cond_median = _conditional(_median)
+    cond_cdf = _conditional(_cdf)
+    d_density = _density(_pdf)
 
     def d_quadrature_segments(self, lam: float) -> list[QuadSegment]:
         # Ratio tails are power laws, so both ends are compactified toward 0
@@ -519,23 +518,19 @@ class PowerScale:
     def _median(self, component: int, lam: float, t):
         return 2.0 ** (-1.0 / self.shape_sum) * self._s_max(component, lam, t)
 
-    cond_median = _conditional(_median)
-
-    @_conditional
-    def cond_cdf(self, component: int, lam: float, t, s):
+    def _cdf(self, component: int, lam: float, t, s):
         frac = np.clip(s / self._s_max(component, lam, t), 0.0, 1.0)
         return frac ** self.shape_sum
 
-    def _ratio_density(self, u: np.ndarray) -> np.ndarray:
-        a1, a2 = self.alpha1, self.alpha2
+    def _pdf(self, lam: float, t):
+        a1, a2, u = self.alpha1, self.alpha2, t / lam
         coef = a1 * a2 / (a1 + a2)
-        u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore"):
-            return coef * np.where(u <= 1.0, u ** (a2 - 1.0), u ** (-a1 - 1.0))
+            return coef * np.where(u <= 1.0, u ** (a2 - 1.0), u ** (-a1 - 1.0)) / lam
 
-    @_density
-    def d_density(self, lam: float, t):
-        return self._ratio_density(t / lam) / lam
+    cond_median = _conditional(_median)
+    cond_cdf = _conditional(_cdf)
+    d_density = _density(_pdf)
 
     def d_quadrature_segments(self, lam: float) -> list[QuadSegment]:
         return _ratio_segments(lam)

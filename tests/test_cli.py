@@ -475,6 +475,35 @@ class TestCommandLine:
         assert result.stdout == ""
         assert result.stderr.startswith("error: gamma_median(0.00094) residual ")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # the upper segment's jacobian lam / v^2 overflows near v = 0
+            json.loads((DATA / "run_gamma_large_gap.json").read_text()),
+            # the upper segment's node lam / v overflows near v = 0
+            {
+                "model": {"name": "power", "alpha1": 2.0, "alpha2": 0.5},
+                "component": 2,
+                "pairs": [["pnsee_star", "pnsee"]],
+                "gaps": [1e307],
+                "loss": "scale_abs",
+                "n_samples": 1,
+                "seed": 1,
+            },
+        ],
+        ids=["gamma_jacobian", "power_node"],
+    )
+    def test_oracle_at_huge_scale_gaps_exits_4_without_warnings(self, tmp_path, cfg):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(main, ["run", str(path), "--oracle"])
+        assert result.exit_code == 4, result.output
+        assert result.stdout == ""
+        if cfg["model"]["name"] == "gamma":
+            # the Monte Carlo engine alone runs the cell
+            assert CliRunner().invoke(main, ["run", str(path)]).exit_code == 0
+
     def test_table_id_bool_exits_2(self, tmp_path):
         path = tmp_path / "table.json"
         path.write_text(json.dumps({"table": True, "n_samples": 100}))

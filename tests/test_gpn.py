@@ -220,6 +220,12 @@ class TestMonteCarlo:
             replace(task, loss=SCALE_ABS)
         with pytest.raises(DomainError, match="n_samples"):
             replace(task, n_samples=0)
+        # equal infinite parameters are ordered, but their gap is NaN
+        with pytest.raises(DomainError, match="location gaps must be >= 0, got nan"):
+            replace(task, params=RestrictedParams(np.inf, np.inf))
+        rmle = resolve_estimator(ANCHOR_GAMMA, 2, "rmle")
+        with pytest.raises(DomainError, match="scale gaps must be >= 1, got nan"):
+            ComparisonTask(ANCHOR_GAMMA, RestrictedParams(np.inf, np.inf), rmle, rmle, SCALE_ABS)
 
     @pytest.mark.parametrize(
         "loss, n, match",
@@ -384,6 +390,25 @@ class TestOracle:
                     LOC_ABS if model.kind is ProblemKind.LOCATION else SCALE_ABS,
                 )
                 assert gpn_oracle(task) > 0.5 + 1e-6
+
+    def test_integrand_calls_the_unchecked_bodies(self, monkeypatch):
+        # the task has checked its arguments, so the integrand evaluates the
+        # models' _cdf and _pdf bodies, not the checked public names
+        tasks = [
+            task_for(ANCHOR_NORMAL, 2.0, "rmle", "pnlee"),
+            task_for(ExponentialLocation(1.0, 2.0), 1.0, "pnlee_star", "pnlee"),
+            task_for(GammaScale(0.5, 0.2), 2.0, "rmle_star", "rmle"),
+            task_for(PowerScale(2.0, 0.5), 1.5, "pnsee_star", "pnsee"),
+        ]
+        values = [gpn_oracle(task) for task in tasks]
+
+        def checked(*args):
+            raise AssertionError("the oracle called a checked model method")
+
+        for cls in (BivariateNormal, ExponentialLocation, GammaScale, PowerScale):
+            monkeypatch.setattr(cls, "cond_cdf", checked)
+            monkeypatch.setattr(cls, "d_density", checked)
+        assert [gpn_oracle(task) for task in tasks] == values
 
     def test_both_engines_decide_by_the_task_loss(self, monkeypatch):
         # a loss whose half-line event is flipped turns every win into a
