@@ -174,11 +174,16 @@ def _identity_draws(task: ComparisonTask) -> tuple[np.ndarray, np.ndarray]:
 def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
     """Deterministic GPN: the probability of the loss's half-line event
     integrated against the contrast density by adaptive quadrature, with
-    kernel breakpoints inserted as panel boundaries. Each integrand call
-    checks only that its nodes lie in the contrast's domain, then calls the
-    model's unchecked _pdf and _cdf. A node outside it, or a kernel value
-    that is not finite at a node, fails the cell with a DomainError, as it
-    fails a draw of the Monte Carlo engine.
+    kernel breakpoints inserted as panel boundaries. The model's quadrature
+    segments are integrated in lockstep: each integrand call maps each
+    segment's nodes to contrasts by that segment's change of variable, and
+    evaluates the rest once on all of them. It checks only that its nodes
+    lie in the contrast's domain, then calls the model's unchecked _pdf and
+    _cdf. A node outside it, or a kernel value that is not finite at a node,
+    fails the cell with a DomainError, as it fails a draw of the Monte Carlo
+    engine. numpy does not warn of an overflow or invalid value in a call:
+    each has its right limit or fails the cell, at those checks or at the
+    quadrature's finite-sum check.
     """
     if task.candidate == task.reference:
         return 0.5
@@ -191,14 +196,15 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
     # Integrating g - 1/2 makes every region where the kernels coincide
     # contribute exactly zero, so heavy contrast tails cost nothing once the
     # clamp deactivates there.
-    shift = 0.0
     segments = model.d_quadrature_segments(lam)
-    for seg in segments:
 
-        def integrand(s, _seg=seg):
-            t = _seg.to_t(s)
+    def integrand(s, sizes):
+        with np.errstate(over="ignore", invalid="ignore"):
+            pieces = np.split(s, np.cumsum(sizes)[:-1])
+            t = np.concatenate([seg.to_t(p) for seg, p in zip(segments, pieces)])
             model.kind.check_contrast(t)
-            weight = model._pdf(lam, t) * _seg.jacobian(s)
+            jacobian = np.concatenate([seg.jacobian(p) for seg, p in zip(segments, pieces)])
+            weight = model._pdf(lam, t) * jacobian
             xi = task.candidate.psi(t)
             ps = task.reference.psi(t)
             if not (np.isfinite(xi).all() and np.isfinite(ps).all()):
@@ -212,14 +218,15 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
             g = np.where(xi == ps, 0.5, np.where(below, cdf, 1.0 - cdf))
             return (g - 0.5) * weight
 
-        shift += adaptive_quadrature(
-            integrand,
-            seg.lo,
-            seg.hi,
-            breakpoints=[seg.from_t(bp) for bp in cuts],
-            abs_tol=abs_tol / len(segments),
-            max_panels=4000,
-        )
+    # called through the module global, which a tracer may replace
+    shift = sum(adaptive_quadrature(
+        integrand,
+        [seg.lo for seg in segments],
+        [seg.hi for seg in segments],
+        breakpoints=[[seg.from_t(bp) for bp in cuts] for seg in segments],
+        abs_tol=abs_tol / len(segments),
+        max_panels=4000,
+    ))
     return min(max(0.5 + shift, 0.0), 1.0)
 
 

@@ -491,8 +491,10 @@ class TestCommandLine:
                 "n_samples": 1,
                 "seed": 1,
             },
+            # the density's coefficient a1 a2 / (a1 + a2) overflows to inf
+            json.loads((DATA / "run_power_huge_shape.json").read_text()),
         ],
-        ids=["gamma_jacobian", "power_node"],
+        ids=["gamma_jacobian", "power_node", "power_coefficient"],
     )
     def test_oracle_at_huge_scale_gaps_exits_4_without_warnings(self, tmp_path, cfg):
         path = tmp_path / "config.json"

@@ -182,6 +182,142 @@ def test_grouped_calls_keep_the_greedy_partition(name):
         assert n_calls <= 2 * math.log2(bisections)
 
 
+def _stacked(integrands, calls):
+    """One lockstep integrand f(x, sizes) from one-argument integrands, each
+    evaluated on its own integral's slice of the nodes; records each call's
+    sizes.
+    """
+
+    def f(x, sizes):
+        calls.append(list(sizes))
+        parts = np.split(x, np.cumsum(sizes)[:-1])
+        return np.concatenate([g(part) for g, part in zip(integrands, parts)])
+
+    return f
+
+
+LOCKSTEP = {**DESCENTS, "sin": (np.sin, 0.0, math.pi, {})}
+
+
+def _solo(name):
+    """Value and integrand call count of one LOCKSTEP integral alone."""
+    g, a, b, kw = LOCKSTEP[name]
+    calls = []
+    val = adaptive_quadrature(
+        lambda x: calls.append(x.size) or g(x), a, b,
+        breakpoints=kw.get("breakpoints", ()), max_panels=10 ** 4,
+    )
+    return val, len(calls)
+
+
+def _run_lockstep(names, calls):
+    items = [LOCKSTEP[name] for name in names]
+    return adaptive_quadrature(
+        _stacked([g for g, *_ in items], calls),
+        [a for _, a, _, _ in items],
+        [b for _, _, b, _ in items],
+        breakpoints=[kw.get("breakpoints", ()) for *_, kw in items],
+        max_panels=10 ** 4,
+    )
+
+
+def test_lockstep_integrals_keep_their_solo_values():
+    # each integral keeps its own partition, so its value is the same bits
+    # as alone; a round serves every live integral's request, so the calls
+    # number the most any one integral makes alone
+    names = list(LOCKSTEP)
+    solo = [_solo(name) for name in names]
+    calls = []
+    values = _run_lockstep(names, calls)
+    assert values == [val for val, _ in solo]
+    assert len(calls) == max(n for _, n in solo) < sum(n for _, n in solo)
+    assert all(len(sizes) == len(names) for sizes in calls)
+
+
+def test_lockstep_copies_take_the_solo_calls():
+    val, n_calls = _solo("x**-0.9")
+    calls = []
+    assert _run_lockstep(["x**-0.9", "x**-0.9"], calls) == [val, val]
+    assert len(calls) == n_calls
+    assert all(a == b > 0 for a, b in calls)
+
+
+def test_lockstep_rejects_mismatched_lengths():
+    with pytest.raises(ValueError):
+        adaptive_quadrature(lambda x, sizes: x, [0.0, 1.0], [1.0], breakpoints=[[], []])
+    with pytest.raises(ValueError):
+        adaptive_quadrature(lambda x, sizes: x, [0.0, 1.0], [1.0, 2.0], breakpoints=[[0.5]])
+
+
+# integrands that raise only at nodes the one-panel-per-call loop never
+# evaluates: the centre of a grandchild of the initial panel [0.5, 1], which
+# is never bisected, and nodes below 1e-30, deeper than the descent into 0
+# goes but not deeper than the panels asked for ahead of it
+def _raises_at_grandchild(x):
+    if np.any(x == 0.5625):
+        raise ValueError("a grandchild's node")
+    return np.where(x < 0.5, np.sqrt(x), x * x)
+
+
+def _raises_below_1e_30(x):
+    if np.any((x > 0.0) & (x < 1e-30)):
+        raise ValueError("a node below the descent")
+    return 1.0 / np.sqrt(np.maximum(x, 1e-300))
+
+
+@pytest.mark.parametrize("g, kw", [
+    (_raises_at_grandchild, {"breakpoints": [0.5]}),
+    (_raises_below_1e_30, {}),
+])
+def test_panels_asked_for_ahead_fall_back_when_they_raise(g, kw):
+    ref, needed, _ = _greedy_one_panel_per_call(g, 0.0, 1.0, max_panels=10 ** 6, **kw)
+    raised = []
+
+    def f(x):
+        try:
+            return g(x)
+        except ValueError:
+            raised.append(x.size)
+            raise
+
+    assert adaptive_quadrature(f, 0.0, 1.0, max_panels=needed, **kw) == ref
+    assert len(raised) == 1
+    # the same in lockstep beside an integral that never raises
+    sin_val = adaptive_quadrature(np.sin, 0.0, math.pi)
+    values = adaptive_quadrature(
+        _stacked([np.sin, f], []), [0.0, 0.0], [math.pi, 1.0],
+        breakpoints=[[], kw.get("breakpoints", [])], max_panels=needed,
+    )
+    assert values == [sin_val, ref]
+    assert len(raised) == 2
+
+
+def _fails_on(bad0, bad1):
+    """A two-integral lockstep integrand: integral 0 is inf above 0.7 when
+    bad0, integral 1 raises ValueError at any node when bad1. Integral 1 is
+    checked first, so a call holding both parts raises integral 1's error.
+    """
+
+    def f(x, sizes):
+        x0, x1 = np.split(x, [sizes[0]])
+        if bad1 and x1.size:
+            raise ValueError("integral 1")
+        y0 = np.where(x0 > 0.7, np.inf, 1.0) if bad0 else np.sin(x0)
+        return np.concatenate([y0, np.cos(x1)])
+
+    return f
+
+
+@pytest.mark.parametrize("bad0, bad1, error, match", [
+    (True, True, ConvergenceError, "non-finite"),
+    (True, False, ConvergenceError, "non-finite"),
+    (False, True, ValueError, "integral 1"),
+])
+def test_lockstep_raises_the_first_failing_integral(bad0, bad1, error, match):
+    with pytest.raises(error, match=match):
+        adaptive_quadrature(_fails_on(bad0, bad1), [0.0, 0.0], [1.0, 1.0], breakpoints=[[], []])
+
+
 # integrands not finite above 0.7; the last has inf and -inf in one panel,
 # whose sums are then NaN
 NON_FINITE = {
@@ -237,23 +373,30 @@ def test_oracle_keeps_the_greedy_partition(monkeypatch):
     # the oracle's integrals, endpoint descents included, bisect the panels
     # a one-panel-per-call loop bisects, so every value is the same bits
     values = [gpn.gpn_oracle(task) for task in ORACLE_CASES]
-    monkeypatch.setattr(
-        gpn, "adaptive_quadrature",
-        lambda f, a, b, **kw: _greedy_one_panel_per_call(f, a, b, **kw)[0],
-    )
+
+    def one_by_one(f, a, b, *, breakpoints, **kw):
+        # each integral alone, its nodes passed as the lockstep call's part
+        def part(i):
+            return lambda x: f(x, [x.size if j == i else 0 for j in range(len(a))])
+
+        return [_greedy_one_panel_per_call(part(i), lo, hi, breakpoints=cuts, **kw)[0]
+                for i, (lo, hi, cuts) in enumerate(zip(a, b, breakpoints))]
+
+    monkeypatch.setattr(gpn, "adaptive_quadrature", one_by_one)
     assert [gpn.gpn_oracle(task) for task in ORACLE_CASES] == values
 
 
 def test_oracle_descent_takes_few_calls(monkeypatch):
-    # gamma (0.5, 0.2) c2 at gap 2 descends into s -> 0 on its segments:
-    # 9 integrand calls, 57 with a call per two levels of the descent
+    # gamma (0.5, 0.2) c2 at gap 2 descends into s -> 0 on both of its
+    # segments, in lockstep: 4 integrand calls, 9 with the segments one
+    # after the other, 57 with a call per two levels of the descent
     calls = []
     quadrature = gpn.adaptive_quadrature
 
     def counting(f, a, b, **kw):
-        def g(x):
+        def g(x, sizes):
             calls.append(x.size)
-            return f(x)
+            return f(x, sizes)
 
         return quadrature(g, a, b, **kw)
 
@@ -265,4 +408,4 @@ def test_oracle_descent_takes_few_calls(monkeypatch):
     )
     monkeypatch.setattr(gpn, "adaptive_quadrature", counting)
     gpn.gpn_oracle(task)
-    assert len(calls) <= 16
+    assert len(calls) <= 4
