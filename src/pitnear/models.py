@@ -24,7 +24,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .specfun import gamma_median, gammaln, normal_cdf, regularized_gamma_p
+from .specfun import _LN2, gamma_median, gammaln, normal_cdf, regularized_gamma_p
 
 __all__ = [
     "ProblemKind",
@@ -37,8 +37,6 @@ __all__ = [
     "ModelSpec",
     "model_from_config",
 ]
-
-_LN2 = math.log(2.0)
 
 # Draws per block wherever a pass over the draws works block by block: a
 # block's float64 temporaries (128 KiB each) stay in cache.

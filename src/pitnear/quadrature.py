@@ -5,21 +5,19 @@ The integrand is called with an ndarray of nodes and must return an ndarray
 of the same shape, computed element by element: a node's value may not
 depend on which other nodes share the call. The greedy loop relies on that
 to group panels into few calls while choosing the same panels as a
-one-panel-per-call loop. All initial panels share one call. Bisecting a
-panel whose children are not yet known evaluates, in one call, both
-children and their four children, and, for each end of the panel that is an
-initial cut, the chain of descendants touching that end down to as many
-levels below the panel as it lies below its initial panel. Figures known
-ahead are kept until their panel joins the partition.
+one-panel-per-call loop. Figures known ahead are kept until their panel
+joins the partition.
 
-A call also carries the panels the loop will ask for next: with the
-initial panels, the request of each one's first bisection; with a chain
-down to twice its panel's depth, the request of its last panel's
-bisection, the chain on down to four times that depth. So a descent into an
-endpoint singularity makes one call per quadrupling of its depth. These
-speculative nodes may lie where the loop never goes: a call that raises is
-repeated without them, and if it raises again each integral's part is
-evaluated alone, so an integral fails only where it fails alone.
+All initial panels share one call, with the children and grandchildren of
+each. Bisecting a panel whose children are not yet known asks, in one call,
+for what it needs: its children and grandchildren and, for each end of the
+panel that is an initial cut, the chain of descendants touching that end
+down to as many levels below the panel as it lies below its initial panel.
+The same call carries, ahead of need, that chain on down to three times as
+many levels, so a descent into an endpoint singularity makes one call per
+quadrupling of its depth. Panels asked for ahead may lie where the loop
+never goes: if a call raises, each integral's need is evaluated in a call
+of its own, so an integral fails only where it fails alone.
 
 Integrals in lockstep each keep their own cuts, heap, total, error, panels
 known ahead and panel budget, and every round puts all their requests into
@@ -89,34 +87,29 @@ def _panels(
     return list(zip(k15.tolist(), err.tolist()))
 
 
-def _lookahead(
-    lo: float, hi: float, depth: int, cuts: frozenset[float]
-) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
-    """Bounds of the descendants of the panel (lo, hi), `depth` bisections
-    below its initial panel, that one call evaluates: its children and
-    grandchildren, and below them, down to `depth` levels below the panel,
-    both children of each panel on the chain that touches an end of
-    (lo, hi) lying in `cuts`. A chain stops where a midpoint no longer
-    splits its panel. Also returns the last panel of each chain that
-    reaches that depth, whose children are not evaluated.
+def _lookahead(lo: float, hi: float, depth: int, cuts: frozenset[float]) -> tuple[list, list]:
+    """Bounds of descendants of the panel (lo, hi), `depth` bisections below
+    its initial panel, as (need, ahead). need holds its children and
+    grandchildren and, if depth >= 2, both children of each panel on the
+    chain that touches an end of (lo, hi) lying in `cuts`, down to `depth`
+    levels below the panel; ahead holds those chains on down to 3 * depth
+    levels. A chain stops where a midpoint no longer splits its panel.
     """
     mid = 0.5 * (lo + hi)
     q1 = 0.5 * (lo + mid)
     q3 = 0.5 * (mid + hi)
-    out = [(lo, mid), (mid, hi), (lo, q1), (q1, mid), (mid, q3), (q3, hi)]
-    ends = []
+    need = [(lo, mid), (mid, hi), (lo, q1), (q1, mid), (mid, q3), (q3, hi)]
+    ahead = []
     for end, (a, b) in ((lo, (lo, q1)), (hi, (q3, hi))):
         if end not in cuts or depth < 2:
             continue
-        for _ in range(depth - 2):
+        for level in range(3, 3 * depth + 1):
             m = 0.5 * (a + b)
             if m <= a or m >= b:
                 break
-            out += [(a, m), (m, b)]
+            (need if level <= depth else ahead).extend(((a, m), (m, b)))
             a, b = (a, m) if a == end else (m, b)
-        else:
-            ends.append((a, b))
-    return out, ends
+    return need, ahead
 
 
 def adaptive_quadrature(
@@ -143,16 +136,11 @@ def adaptive_quadrature(
     failing integral in index order raises its error.
     """
     if np.ndim(a) == 0:
-        return _lockstep(lambda x, sizes: f(x), [a], [b], [breakpoints],
-                         abs_tol, rel_tol, max_panels)[0]
+        return adaptive_quadrature(lambda x, sizes: f(x), [a], [b], breakpoints=[breakpoints],
+                                   abs_tol=abs_tol, rel_tol=rel_tol, max_panels=max_panels)[0]
     breakpoints = list(breakpoints)
     if not len(a) == len(b) == len(breakpoints):
         raise ValueError("a, b and breakpoints must hold one entry per integral")
-    return _lockstep(f, a, b, breakpoints, abs_tol, rel_tol, max_panels)
-
-
-def _lockstep(f, a, b, breakpoints, abs_tol, rel_tol, max_panels) -> list[float]:
-    """Drive one _greedy loop per integral, one _round per round."""
     loops = [_greedy(*args, abs_tol, rel_tol, max_panels)
              for args in zip(a, b, breakpoints)]
     values: list = [None] * len(loops)
@@ -186,32 +174,23 @@ def _lockstep(f, a, b, breakpoints, abs_tol, rel_tol, max_panels) -> list[float]
 
 def _round(f, requests: dict, n: int) -> dict:
     """For each integral's (need, ahead) request, the (value, error) list of
-    need + ahead, or of need alone, or the error its part raised alone: one
-    call on all panels; if it raises, one without the speculative panels; if
-    that raises too, one call per integral.
+    need + ahead, or of need alone, or the error its need raised alone: one
+    call on all panels, and if it raises, one call per integral on its need.
     """
 
     def call(parts):
-        sizes = [0] * n
-        for i, part in parts.items():
-            sizes[i] = 15 * len(part)
+        sizes = [15 * len(parts.get(i, ())) for i in range(n)]
         bounds = [p for part in parts.values() for p in part]
         figures = iter(_panels(lambda x: f(x, sizes), bounds))
         return {i: list(islice(figures, len(part))) for i, part in parts.items()}
 
-    needs = {i: need for i, (need, _) in requests.items()}
-    tries = [needs]
-    if any(ahead for _, ahead in requests.values()):
-        tries.insert(0, {i: need + ahead for i, (need, ahead) in requests.items()})
-    for parts in tries:
-        try:
-            return call(parts)
-        except Exception:
-            # whatever the integrand raised, the calls per integral below
-            # raise again for the integral it belongs to
-            pass
+    try:
+        return call({i: need + ahead for i, (need, ahead) in requests.items()})
+    except Exception:
+        # an error at a needed node recurs in its integral's own call below
+        pass
     out = {}
-    for i, need in needs.items():
+    for i, (need, _) in requests.items():
         try:
             out.update(call({i: need}))
         except Exception as error:
@@ -264,10 +243,7 @@ def _greedy(a, b, breakpoints, abs_tol, rel_tol, max_panels):
             continue
         left = known.pop((lo, mid), None)
         if left is None:
-            need, ends = _lookahead(lo, hi, depth, cut_set)
-            # a descent's chain reaches twice the panel's depth; the next
-            # bisection of its end asks for the chain on down to twice that
-            ahead = [p for end in ends for p in _lookahead(*end, 2 * depth, cut_set)[0]]
+            need, ahead = _lookahead(lo, hi, depth, cut_set)
             figures = yield need, ahead
             known.update(zip(need + ahead, figures))
             left = known.pop((lo, mid))

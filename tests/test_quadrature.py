@@ -314,8 +314,22 @@ def _fails_on(bad0, bad1):
     (False, True, ValueError, "integral 1"),
 ])
 def test_lockstep_raises_the_first_failing_integral(bad0, bad1, error, match):
+    f = _fails_on(bad0, bad1)
+    raised = []
+
+    def g(x, sizes):
+        try:
+            return f(x, sizes)
+        except ValueError:
+            raised.append(sizes)
+            raise
+
     with pytest.raises(error, match=match):
-        adaptive_quadrature(_fails_on(bad0, bad1), [0.0, 0.0], [1.0, 1.0], breakpoints=[[], []])
+        adaptive_quadrature(g, [0.0, 0.0], [1.0, 1.0], breakpoints=[[], []])
+    # where integral 1's need raises, the call on every panel fails, then
+    # the call on integral 1's need alone, and no other
+    parts = [[n > 0 for n in sizes] for sizes in raised]
+    assert parts == ([[True, True], [False, True]] if bad1 else [])
 
 
 # integrands not finite above 0.7; the last has inf and -inf in one panel,
@@ -364,15 +378,40 @@ def _oracle_cases():
                 resolve_estimator(model, component, ref),
                 LossFn.from_name("scale_abs"),
             )
+    # at this gap one call raises, at a panel asked for ahead, and the
+    # round falls back to a call per integral
+    model = GammaScale(0.5, 0.2)
+    yield ComparisonTask(
+        model, model.kind.pinned_params(1e268),
+        resolve_estimator(model, 1, "rmle_star"), resolve_estimator(model, 1, "rmle"),
+        LossFn.from_name("scale_abs"),
+    )
 
 
 ORACLE_CASES = list(_oracle_cases())
 
 
 def test_oracle_keeps_the_greedy_partition(monkeypatch):
-    # the oracle's integrals, endpoint descents included, bisect the panels
-    # a one-panel-per-call loop bisects, so every value is the same bits
+    # the oracle's integrals, endpoint descents and a fall-back included,
+    # bisect the panels a one-panel-per-call loop bisects, so every value is
+    # the same bits
+    raised = []
+    quadrature = gpn.adaptive_quadrature
+
+    def recording(f, a, b, **kw):
+        def g(x, sizes):
+            try:
+                return f(x, sizes)
+            except Exception:
+                raised.append(x.size)
+                raise
+
+        return quadrature(g, a, b, **kw)
+
+    monkeypatch.setattr(gpn, "adaptive_quadrature", recording)
     values = [gpn.gpn_oracle(task) for task in ORACLE_CASES]
+    assert len(raised) == 1
+    assert values[-1] == 0.6566758016299938
 
     def one_by_one(f, a, b, *, breakpoints, **kw):
         # each integral alone, its nodes passed as the lockstep call's part
