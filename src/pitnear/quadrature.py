@@ -13,11 +13,17 @@ each. Bisecting a panel whose children are not yet known asks, in one call,
 for what it needs: its children and grandchildren and, for each end of the
 panel that is an initial cut, the chain of descendants touching that end
 down to as many levels below the panel as it lies below its initial panel.
-The same call carries, ahead of need, that chain on down to three times as
-many levels, so a descent into an endpoint singularity makes one call per
-quadrupling of its depth. Panels asked for ahead may lie where the loop
-never goes: if a call raises, each integral's need is evaluated in a call
-of its own, so an integral fails only where it fails alone.
+The same call carries, ahead of need, that chain on down to the depth its
+error decay predicts. Near an integrable endpoint singularity s**-beta a
+panel's error shrinks by one factor r = 2**-(1 - beta) per bisection
+(Piessens et al. 1983), read as the panel's error over its parent's: the
+chain goes on to the first level where the panel's error times r per level
+falls below abs_tol, three levels more, and at most 200 levels past three
+times the panel's depth. Where no decay shows, it goes to three times the
+panel's depth. A descent into a cut thus mostly takes one call after its
+first. Panels asked for ahead may lie where the loop never goes: if a call
+raises, each integral's need is evaluated in a call of its own, so an
+integral fails only where it fails alone.
 
 Integrals in lockstep each keep their own cuts, heap, total, error, panels
 known ahead and panel budget, and every round puts all their requests into
@@ -87,13 +93,15 @@ def _panels(
     return list(zip(k15.tolist(), err.tolist()))
 
 
-def _lookahead(lo: float, hi: float, depth: int, cuts: frozenset[float]) -> tuple[list, list]:
+def _lookahead(lo: float, hi: float, depth: int, cuts: frozenset[float],
+               levels: int) -> tuple[list, list]:
     """Bounds of descendants of the panel (lo, hi), `depth` bisections below
     its initial panel, as (need, ahead). need holds its children and
     grandchildren and, if depth >= 2, both children of each panel on the
     chain that touches an end of (lo, hi) lying in `cuts`, down to `depth`
-    levels below the panel; ahead holds those chains on down to 3 * depth
-    levels. A chain stops where a midpoint no longer splits its panel.
+    levels below the panel; ahead holds those chains on down to `levels`
+    levels (see _chain_levels). A chain stops where a midpoint no longer
+    splits its panel.
     """
     mid = 0.5 * (lo + hi)
     q1 = 0.5 * (lo + mid)
@@ -103,13 +111,38 @@ def _lookahead(lo: float, hi: float, depth: int, cuts: frozenset[float]) -> tupl
     for end, (a, b) in ((lo, (lo, q1)), (hi, (q3, hi))):
         if end not in cuts or depth < 2:
             continue
-        for level in range(3, 3 * depth + 1):
+        for level in range(3, levels + 1):
             m = 0.5 * (a + b)
             if m <= a or m >= b:
                 break
             (need if level <= depth else ahead).extend(((a, m), (m, b)))
             a, b = (a, m) if a == end else (m, b)
     return need, ahead
+
+
+# levels a chain goes on past its predicted end, and the most levels past
+# 3 * depth it goes: a mispredicted chain costs at most 2 * _CHAIN_CAP panels
+# more than the 3 * depth rule
+_CHAIN_MARGIN = 3
+_CHAIN_CAP = 200
+
+
+def _chain_levels(depth: int, e: float, e_parent: float, abs_tol: float) -> int:
+    """Levels below a panel `depth` bisections below its initial panel, with
+    error e and parent's error e_parent, down to which its cut-end chains
+    are asked for. If the error shrinks by r = e / e_parent < 1 per level,
+    that is the first level L where e * r**L < abs_tol, plus _CHAIN_MARGIN,
+    within [depth, 3 * depth + _CHAIN_CAP]: need covers depth levels.
+    Where no decay shows (r >= 1, e = 0 or abs_tol = 0) it is 3 * depth.
+    """
+    floor = 3 * depth
+    if not 0.0 < e < e_parent or abs_tol <= 0.0:
+        return floor
+    log_r = math.log(e) - math.log(e_parent)
+    if log_r >= 0.0:  # e and e_parent one rounding apart
+        return floor
+    levels = math.floor((math.log(abs_tol) - math.log(e)) / log_r) + 1 + _CHAIN_MARGIN
+    return min(max(levels, depth), floor + _CHAIN_CAP)
 
 
 def adaptive_quadrature(
@@ -135,6 +168,9 @@ def adaptive_quadrature(
     nodes of integral 0, then sizes[1] of integral 1, and so on. The first
     failing integral in index order raises its error.
     """
+    # NaN fails the comparison too
+    if not (abs_tol >= 0.0 and rel_tol >= 0.0):
+        raise ValueError(f"abs_tol and rel_tol must be >= 0, got {abs_tol} and {rel_tol}")
     if np.ndim(a) == 0:
         return adaptive_quadrature(lambda x, sizes: f(x), [a], [b], breakpoints=[breakpoints],
                                    abs_tol=abs_tol, rel_tol=rel_tol, max_panels=max_panels)[0]
@@ -209,19 +245,19 @@ def _greedy(a, b, breakpoints, abs_tol, rel_tol, max_panels):
         raise ConvergenceError(f"integration interval [{a}, {b}] is empty or not finite")
     cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
     cut_set = frozenset(cuts)
-    # max-heap on error via negated key; the last field is the panel's number
-    # of bisections below its initial panel
+    # max-heap on error via negated key; the last fields are the panel's
+    # number of bisections below its initial panel and its parent's error
     heap = []
     total = 0.0
     err = 0.0
     bounds = list(zip(cuts[:-1], cuts[1:]))
     # each initial panel's first bisection, asked for with the panels
-    ahead = [p for lo, hi in bounds for p in _lookahead(lo, hi, 0, cut_set)[0]]
+    ahead = [p for lo, hi in bounds for p in _lookahead(lo, hi, 0, cut_set, 0)[0]]
     figures = yield bounds, ahead
     for (lo, hi), (val, e) in zip(bounds, figures):
         total += val
         err += e
-        heapq.heappush(heap, (-e, lo, hi, val, 0))
+        heapq.heappush(heap, (-e, lo, hi, val, 0, math.inf))
     _check_finite(err, a, b)
     # (value, error) of panels evaluated ahead of their parent's bisection
     known = dict(zip(ahead, figures[len(bounds):]))
@@ -234,7 +270,7 @@ def _greedy(a, b, breakpoints, abs_tol, rel_tol, max_panels):
                 f"(requested abs_tol={abs_tol:.3e})",
                 achieved=err,
             )
-        ne, lo, hi, val, depth = pop(heap)
+        ne, lo, hi, val, depth, pe = pop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at float resolution; accept as-is
             err += ne  # ne is negative
@@ -243,7 +279,8 @@ def _greedy(a, b, breakpoints, abs_tol, rel_tol, max_panels):
             continue
         left = known.pop((lo, mid), None)
         if left is None:
-            need, ahead = _lookahead(lo, hi, depth, cut_set)
+            levels = _chain_levels(depth, -ne, pe, abs_tol)
+            need, ahead = _lookahead(lo, hi, depth, cut_set, levels)
             figures = yield need, ahead
             known.update(zip(need + ahead, figures))
             left = known.pop((lo, mid))
@@ -256,8 +293,8 @@ def _greedy(a, b, breakpoints, abs_tol, rel_tol, max_panels):
             _check_finite(err, lo, hi)
         if err < 0.0:
             err = 0.0
-        push(heap, (-e1, lo, mid, v1, depth + 1))
-        push(heap, (-e2, mid, hi, v2, depth + 1))
+        push(heap, (-e1, lo, mid, v1, depth + 1, -ne))
+        push(heap, (-e2, mid, hi, v2, depth + 1, -ne))
         n_panels += 1
     return total
 

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pitnear.gpn as gpn
 from pitnear.errors import ConvergenceError
 from pitnear.estimators import LossFn, resolve_estimator
 from pitnear.gpn import ComparisonTask
-from pitnear.models import GammaScale, PowerScale
+from pitnear.models import ExponentialLocation, GammaScale, PowerScale
 from pitnear.quadrature import _WG, _WK, _XK, _panels, adaptive_quadrature
 
 
@@ -59,6 +61,33 @@ def test_empty_interval_rejected(a, b):
 
     with pytest.raises(ConvergenceError):
         adaptive_quadrature(never, a, b)
+
+
+@pytest.mark.parametrize("abs_tol, rel_tol", [
+    (math.nan, 0.0), (0.0, math.nan), (-1e-9, 0.0), (1e-9, -1e-9),
+])
+def test_invalid_tolerance_rejected(abs_tol, rel_tol):
+    # a NaN tolerance stops no loop test, so the sum of the initial panels
+    # came back as the integral; a negative one ran to the panel budget
+    def never(x, sizes=None):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(ValueError, match="abs_tol and rel_tol"):
+        adaptive_quadrature(never, 0.0, 1.0, abs_tol=abs_tol, rel_tol=rel_tol)
+    with pytest.raises(ValueError, match="abs_tol and rel_tol"):
+        adaptive_quadrature(never, [0.0, 1.0], [1.0, 2.0], breakpoints=[[], []],
+                            abs_tol=abs_tol, rel_tol=rel_tol)
+
+
+def test_oracle_rejects_a_nan_tolerance():
+    model = GammaScale(0.5, 0.2)
+    task = ComparisonTask(
+        model, model.kind.pinned_params(2.0),
+        resolve_estimator(model, 1, "rmle_star"), resolve_estimator(model, 1, "rmle"),
+        LossFn.from_name("scale_abs"),
+    )
+    with pytest.raises(ValueError, match="abs_tol and rel_tol"):
+        gpn.gpn_oracle(task, abs_tol=math.nan)
 
 
 def test_kronrod_rule_exact_monomials():
@@ -174,12 +203,39 @@ def test_grouped_calls_keep_the_greedy_partition(name):
     # the budget counts panels: one fewer allowed panel must fail
     with pytest.raises(ConvergenceError):
         adaptive_quadrature(f, a, b, max_panels=needed - 1, **kw)
-    if name in ("x**-0.5", "x**-0.9"):
-        # a descent into the left end takes one call per doubling of its
-        # depth: 7 calls for 53 bisections and 10 for 303, 28 and 153 with
-        # a call per two levels
-        bisections = needed - 1
-        assert n_calls <= 2 * math.log2(bisections)
+    assert n_calls <= DESCENT_CALLS[name]
+
+
+# integrand calls of each descent: after its first request, the error decay
+# predicts how deep the chain must go (4, 4, 7 and 5 calls with the chain
+# asked for to three times the panel's depth); abs_tol = 0 shows no decay,
+# so the descent to float resolution keeps that rule
+DESCENT_CALLS = {
+    "x**-0.5": 2,
+    "(1-x)**-0.5": 2,
+    "|x-0.3|**-0.5": 3,
+    "x**-0.9": 3,
+    "x**-0.9 to float resolution": 21,
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    beta=st.floats(0.05, 0.95),
+    cut=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.01, 0.99)),
+    log_tol=st.floats(-12.0, -6.0),
+)
+def test_predicted_descents_keep_the_greedy_partition(beta, cut, log_tol):
+    # a descent into |x|**-beta over [-cut, 1 - cut], whose error decay the
+    # request rule reads to ask ahead, bisects the panels a
+    # one-panel-per-call loop bisects, at any exponent, cut position and
+    # tolerance. The singularity sits at 0, where floats reach 1e-300.
+    def g(x):
+        return np.maximum(np.abs(x), 1e-300) ** -beta
+
+    kw = {"breakpoints": [0.0], "abs_tol": 10.0 ** log_tol}
+    ref, needed, _ = _greedy_one_panel_per_call(g, -cut, 1.0 - cut, max_panels=10 ** 4, **kw)
+    assert adaptive_quadrature(g, -cut, 1.0 - cut, max_panels=needed, **kw) == ref
 
 
 def _stacked(integrands, calls):
@@ -252,7 +308,11 @@ def test_lockstep_rejects_mismatched_lengths():
 # integrands that raise only at nodes the one-panel-per-call loop never
 # evaluates: the centre of a grandchild of the initial panel [0.5, 1], which
 # is never bisected, and nodes below 1e-30, deeper than the descent into 0
-# goes but not deeper than the panels asked for ahead of it
+# goes but not deeper than the panels asked for ahead of it. Under abs_tol
+# the chain ends three levels past the predicted end of the descent, and
+# every request after a fall-back asks for those levels again until their
+# parents' need holds them; under rel_tol alone no decay is read, and the
+# chain goes to three times its panel's depth
 def _raises_at_grandchild(x):
     if np.any(x == 0.5625):
         raise ValueError("a grandchild's node")
@@ -267,7 +327,7 @@ def _raises_below_1e_30(x):
 
 @pytest.mark.parametrize("g, kw", [
     (_raises_at_grandchild, {"breakpoints": [0.5]}),
-    (_raises_below_1e_30, {}),
+    (_raises_below_1e_30, {"abs_tol": 0.0, "rel_tol": 5e-10}),
 ])
 def test_panels_asked_for_ahead_fall_back_when_they_raise(g, kw):
     ref, needed, _ = _greedy_one_panel_per_call(g, 0.0, 1.0, max_panels=10 ** 6, **kw)
@@ -283,10 +343,11 @@ def test_panels_asked_for_ahead_fall_back_when_they_raise(g, kw):
     assert adaptive_quadrature(f, 0.0, 1.0, max_panels=needed, **kw) == ref
     assert len(raised) == 1
     # the same in lockstep beside an integral that never raises
-    sin_val = adaptive_quadrature(np.sin, 0.0, math.pi)
+    tols = {k: v for k, v in kw.items() if k != "breakpoints"}
+    sin_val = adaptive_quadrature(np.sin, 0.0, math.pi, **tols)
     values = adaptive_quadrature(
         _stacked([np.sin, f], []), [0.0, 0.0], [math.pi, 1.0],
-        breakpoints=[[], kw.get("breakpoints", [])], max_panels=needed,
+        breakpoints=[[], kw.get("breakpoints", [])], max_panels=needed, **tols,
     )
     assert values == [sin_val, ref]
     assert len(raised) == 2
@@ -378,17 +439,32 @@ def _oracle_cases():
                 resolve_estimator(model, component, ref),
                 LossFn.from_name("scale_abs"),
             )
-    # at this gap one call raises, at a panel asked for ahead, and the
-    # round falls back to a call per integral
-    model = GammaScale(0.5, 0.2)
+    # the first request of this cell's second segment reads a slow decay
+    # (0.97 per level, before the densities are resolved) and asks for its
+    # chain to the cap, down to s = 1.9e-62, where its descent stops near
+    # 1e-2; _fails_below_1e_50 makes that chain's call raise
+    model = ExponentialLocation(30.0, 40.0)
     yield ComparisonTask(
-        model, model.kind.pinned_params(1e268),
-        resolve_estimator(model, 1, "rmle_star"), resolve_estimator(model, 1, "rmle"),
-        LossFn.from_name("scale_abs"),
+        model, model.kind.pinned_params(0.0),
+        resolve_estimator(model, 2, "rmle_star"), resolve_estimator(model, 2, "rmle"),
+        LossFn.from_name("location_abs"),
     )
 
 
 ORACLE_CASES = list(_oracle_cases())
+
+
+def _fails_below_1e_50(f):
+    """The oracle's integrand f(x, sizes), raising at nodes in (0, 1e-50):
+    no other case's descent goes that deep, and no one-panel-per-call loop.
+    """
+
+    def g(x, sizes):
+        if np.any((x > 0.0) & (x < 1e-50)):
+            raise ValueError("a node below 1e-50")
+        return f(x, sizes)
+
+    return g
 
 
 def test_oracle_keeps_the_greedy_partition(monkeypatch):
@@ -399,6 +475,8 @@ def test_oracle_keeps_the_greedy_partition(monkeypatch):
     quadrature = gpn.adaptive_quadrature
 
     def recording(f, a, b, **kw):
+        f = _fails_below_1e_50(f)
+
         def g(x, sizes):
             try:
                 return f(x, sizes)
@@ -411,10 +489,12 @@ def test_oracle_keeps_the_greedy_partition(monkeypatch):
     monkeypatch.setattr(gpn, "adaptive_quadrature", recording)
     values = [gpn.gpn_oracle(task) for task in ORACLE_CASES]
     assert len(raised) == 1
-    assert values[-1] == 0.6566758016299938
+    assert values[-1] == 0.8619728189362126
 
     def one_by_one(f, a, b, *, breakpoints, **kw):
         # each integral alone, its nodes passed as the lockstep call's part
+        f = _fails_below_1e_50(f)
+
         def part(i):
             return lambda x: f(x, [x.size if j == i else 0 for j in range(len(a))])
 
@@ -427,8 +507,9 @@ def test_oracle_keeps_the_greedy_partition(monkeypatch):
 
 def test_oracle_descent_takes_few_calls(monkeypatch):
     # gamma (0.5, 0.2) c2 at gap 2 descends into s -> 0 on both of its
-    # segments, in lockstep: 4 integrand calls, 9 with the segments one
-    # after the other, 57 with a call per two levels of the descent
+    # segments, in lockstep: 2 integrand calls, 4 with the chain asked for
+    # to three times its panel's depth, 9 with the segments one after the
+    # other as well, 57 with a call per two levels of the descent
     calls = []
     quadrature = gpn.adaptive_quadrature
 
@@ -447,4 +528,4 @@ def test_oracle_descent_takes_few_calls(monkeypatch):
     )
     monkeypatch.setattr(gpn, "adaptive_quadrature", counting)
     gpn.gpn_oracle(task)
-    assert len(calls) <= 4
+    assert len(calls) <= 2
