@@ -28,7 +28,7 @@ _EPS = 2.220446049250313e-16
 # Newton steps.
 _MAX_ITER = 200
 # Terms per block of the series and the continued fraction: convergence is
-# tested, and converged elements are dropped, once per block.
+# tested once per block; converged elements stay in the arrays.
 _BLOCK = 4
 # Convergence tolerance of the continued fraction, relative to its value.
 # Rounding leaves successive convergents a few units in the last place
@@ -38,7 +38,8 @@ _CF_RTOL = 4.0 * _EPS
 
 def gammaln(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
-    if x <= 0.0:
+    # NaN fails the comparison too
+    if not x > 0.0:
         raise DomainError(f"gammaln requires x > 0, got {x}")
     return math.lgamma(x)
 
@@ -56,40 +57,35 @@ def _series_split(alpha: float) -> float:
 
 
 def _gamma_p_series(alpha: float, x: np.ndarray, max_iter: int) -> np.ndarray:
-    """Series representation, for x below _series_split(alpha)."""
+    """Series representation, for x below _series_split(alpha).
+
+    Every element stays in place: a converged element's term is set to 0,
+    so its later terms are 0 and its total no longer changes.
+    """
     out = np.zeros_like(x)
     live = x > 0.0
     if not live.any():
         return out
     xs = x[live]
-    sums = np.empty_like(xs)
-    # working arrays hold the unconverged elements; pos maps them into sums
-    pos = np.arange(xs.size)
-    xw = xs
     term = np.full_like(xs, 1.0 / alpha)
     total = term.copy()
     ap = alpha
     for start in range(0, max_iter, _BLOCK):
         for _ in range(min(_BLOCK, max_iter - start)):
             ap += 1.0
-            term *= xw
+            term *= xs
             term /= ap
             total += term
-        # every term is positive
+        # no term is negative
         conv = term < total * _EPS
-        done = np.count_nonzero(conv)
-        if done == conv.size:
-            sums[pos] = total
+        if conv.all():
             break
-        if done:
-            sums[pos[conv]] = total[conv]
-            keep = ~conv
-            pos, xw, term, total = pos[keep], xw[keep], term[keep], total[keep]
+        term[conv] = 0.0
     else:
         raise ConvergenceError(
             f"incomplete gamma series did not converge for alpha={alpha}"
         )
-    out[live] = sums * np.exp(-xs + alpha * np.log(xs) - gammaln(alpha))
+    out[live] = total * np.exp(-xs + alpha * np.log(xs) - gammaln(alpha))
     return out
 
 
@@ -102,7 +98,8 @@ def _gamma_q_contfrac(alpha: float, x: np.ndarray, max_iter: int) -> np.ndarray:
     convergents A_n / B_n, rescaled by B_n once per block. B_n never
     vanishes: for x >= alpha, induction on B_n = b_n B_{n-1} + a_n B_{n-2}
     gives B_n / B_{n-1} >= n + 1. The same induction on A_n gives A_n > 0
-    for x >= 1, so every convergent is positive.
+    for x >= 1, so every convergent is positive. Every element stays in
+    place: its value is kept from the block where it first converges.
     """
     out = np.zeros_like(x)
     pre = np.exp(-x + alpha * np.log(x) - gammaln(alpha))
@@ -112,7 +109,7 @@ def _gamma_q_contfrac(alpha: float, x: np.ndarray, max_iter: int) -> np.ndarray:
     if live.size == 0:
         return out
     frac = np.empty(live.size)
-    pos = np.arange(live.size)
+    done = np.zeros(live.size, dtype=bool)
     b0 = x[live] + 1.0 - alpha
     # (A_n, B_n) in p1 and (A_{n-1}, B_{n-1}) in p0, scaled so that B_n = 1
     p1 = np.stack([1.0 / b0, np.ones_like(b0)])
@@ -130,14 +127,10 @@ def _gamma_q_contfrac(alpha: float, x: np.ndarray, max_iter: int) -> np.ndarray:
         h = p1[0]
         # the last two convergents agree: A_n / B_n against A_{n-1} / B_{n-1}
         conv = np.abs(h - p0[0] / p0[1]) <= _CF_RTOL * h
-        done = np.count_nonzero(conv)
-        if done == h.size:
-            frac[pos] = h
+        np.copyto(frac, h, where=~done)
+        done |= conv
+        if done.all():
             break
-        if done:
-            frac[pos[conv]] = h[conv]
-            keep = ~conv
-            pos, b0, p0, p1 = pos[keep], b0[keep], p0[:, keep], p1[:, keep]
     else:
         raise ConvergenceError(
             f"incomplete gamma continued fraction did not converge for alpha={alpha}"
@@ -152,8 +145,8 @@ def regularized_gamma_p(alpha: float, x):
     Accepts a scalar or ndarray x; series below _series_split(alpha),
     continued fraction from there.
     """
-    if not alpha > 0.0:
-        raise DomainError(f"regularized_gamma_p requires alpha > 0, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"regularized_gamma_p requires a finite alpha > 0, got {alpha}")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -184,8 +177,8 @@ def gamma_median(alpha: float) -> float:
     leaves binary64 range: below shape ~9.6e-4 the median underflows. A
     last residual above 1e-12 raises ConvergenceError.
     """
-    if not alpha > 0.0:
-        raise DomainError(f"gamma_median requires alpha > 0, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"gamma_median requires a finite alpha > 0, got {alpha}")
     lo = max(alpha - 1.0 / 3.0, 0.0)
     if alpha < 1.0:
         m = math.exp((gammaln(alpha + 1.0) - _LN2) / alpha)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pitnear import specfun
 from pitnear.errors import ConvergenceError, DomainError
@@ -196,6 +198,12 @@ class TestRegularizedGammaP:
         with pytest.raises(DomainError):
             regularized_gamma_p(1.0, -0.1)
 
+    def test_infinite_shape_raises(self):
+        with pytest.raises(DomainError):
+            regularized_gamma_p(np.inf, 2.0)
+        with pytest.raises(DomainError):
+            regularized_gamma_p(np.inf, np.array([0.5, 2.0]))
+
 
 class TestGammaMedian:
     def test_exponential_case(self):
@@ -218,6 +226,10 @@ class TestGammaMedian:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             gamma_median(-1.0)
+
+    def test_infinite_shape_raises(self):
+        with pytest.raises(DomainError):
+            gamma_median(np.inf)
 
     @pytest.mark.parametrize("alpha", [9.4e-4, 9.5e-4])
     def test_reports_residual_on_failure(self, alpha):
@@ -290,3 +302,26 @@ def test_gammaln_against_factorials():
         assert gammaln(float(n)) == pytest.approx(math.log(math.factorial(n - 1)), rel=1e-14)
     with pytest.raises(DomainError):
         gammaln(0.0)
+    with pytest.raises(DomainError):
+        gammaln(math.nan)
+    assert gammaln(math.inf) == math.inf
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(alpha=st.floats(1e-3, 500.0), seed=st.integers(0, 2**32 - 1))
+def test_gamma_p_batch_independent_over_shape_range(alpha, seed):
+    # points a few ulps around the split, where each loop runs the most
+    # blocks, shuffled among points that converge sooner or skip the
+    # loops: a converged element that keeps iterating must neither change
+    # nor warn, at any shape. The points halfway and twice out converge a
+    # few blocks early; for some shapes a series term after convergence
+    # still rounds into their sums.
+    split = _series_split(alpha)
+    slow = [split]
+    below = above = split
+    for _ in range(3):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        slow += [below, above]
+    mid = [0.5 * split, 2.0 * split]
+    x = np.random.default_rng(seed).permutation(slow + mid + [0.0, 5e-324, 1e-3, np.inf])
+    assert_batch_independent(lambda v: regularized_gamma_p(alpha, v), x)
