@@ -150,8 +150,8 @@ def run_table(
     )
 
 
-# Largest accepted n_samples. A running column holds 16 B per draw, so each
-# worker (one per usable CPU) holds up to 160 MB at 10**7 draws.
+# Largest accepted n_samples. A run holds two jobs' draws, 16 B per draw
+# each, so up to 320 MB at 10**7 draws.
 MAX_SAMPLES = 10**7
 
 _CONFIG_FIELDS = {
@@ -370,7 +370,7 @@ def _render(plan: _RunPlan, cells) -> str:
 
 def run_config_dict(cfg: dict) -> str:
     """Validate and execute a config mapping; returns the rendered text. All
-    cells of the run go through one pool.
+    cells of the run go through one run_columns call.
     """
     plan = _validate_config(cfg)
     return _render(plan, run_columns([c.tasks for c in plan.columns], plan.oracle))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
 from dataclasses import dataclass
 from itertools import groupby
@@ -140,21 +139,33 @@ def gpn_monte_carlo(
         raise DomainError(f"draws of lengths {len(x1)} and {len(x2)} for a cell of {n}")
     kind, params, target = task.model.kind, task.params, task.candidate.target
     theta = params.component(target)
+    # a move to the identity (x + 0.0 or x * 1.0) changes no draw's value,
+    # so it is skipped, and a pivot at the identity is the moved draw itself
+    move1 = params.theta1 != kind.identity
     buf1, buf2 = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
     wins = ties = valid = 0
     with np.errstate(all="ignore"):
         for i in range(0, n, _BLOCK):
             m = min(n - i, _BLOCK)
-            b1 = kind.move(x1[i:i + m], params.theta1, out=buf1[:m])
+            b1 = kind.move(x1[i:i + m], params.theta1, out=buf1[:m]) if move1 else x1[i:i + m]
             b2 = kind.move(x2[i:i + m], params.theta2, out=buf2[:m])
             t = kind.contrast(b2, b1)
             xi, ps = task.candidate.psi(t), task.reference.psi(t)
             edge, below = task.loss.halfline(xi, ps)
-            z = kind.contrast(b1 if target == 1 else b2, theta)
-            tie = (xi == ps) | (z == edge)
-            ok = kind.in_domain(t) & np.isfinite(xi) & np.isfinite(ps)
+            z = b1 if target == 1 else b2
+            if theta != kind.identity:
+                z = kind.contrast(z, theta)
+            tie = xi == ps
+            tie |= z == edge
+            ok = kind.in_domain(t)
+            ok &= np.isfinite(xi)
+            ok &= np.isfinite(ps)
             valid += int(np.count_nonzero(ok))
-            wins += int(np.count_nonzero(((z < edge) == below) & ~tie))
+            # a draw is not a win where it falls on the reference's side or ties
+            lost = z < edge
+            lost ^= below
+            lost |= tie
+            wins += m - int(np.count_nonzero(lost))
             ties += int(np.count_nonzero(tie))
     if valid < n:
         raise DomainError(
@@ -281,59 +292,76 @@ def run_columns(
     Each run of consecutive cells of a column that share their model, seed
     and sample count is one job, which draws once and runs its cells on
     those draws in turn; every cell's result equals gpn_monte_carlo of the
-    cell alone, so it depends neither on the grouping nor on the thread
-    count. A column_tasks column is one job; a column of distinct seeds is
-    one job per cell. The jobs run on the process's pool of one thread per
-    usable CPU (numpy releases the GIL while it draws and computes), each
-    holding one job's draws at a time. The calling thread collects the cells
-    in order and computes each oracle value as its cell arrives, so the
-    first error raised is the one a serial loop would raise; any error
-    cancels the cells not yet started.
+    cell alone, so it depends neither on the grouping nor on the timing of
+    the threads. A column_tasks column is one job; a column of distinct
+    seeds is one job per cell. The Monte Carlo stage is a two-stage
+    pipeline on the process's two threads (numpy releases the GIL while it
+    draws and computes): the evaluating thread runs the jobs' cells in
+    order while the drawing thread draws the next job's sample, so at most
+    two jobs' draws are alive at once. The calling thread waits for that
+    stage, then computes the oracle values alone, in cell order, so the
+    first error raised is the one a serial loop would raise; a failing cell
+    stops the stage, and no later job draws or runs a cell.
     """
     jobs = [list(job) for column in columns
             for _, job in groupby(column, key=lambda t: (t.model, t.seed, t.n_samples))]
-    pool = _pool(_usable_cpus())
     failed = threading.Event()
-    futures = [pool.submit(_run_job, job, failed) for job in jobs]
     try:
-        outcomes = (outcome for future in futures for outcome in future.result())
-        return [[_collect(task, next(outcomes), oracle) for task in column]
-                for column in columns]
+        outcomes = iter(_threads()[0].submit(_run_jobs, jobs, failed).result())
     except BaseException:
-        # the pool outlives the call: a running job stops after its cell
+        # the threads outlive the call: the running job stops after its cell
         failed.set()
-        for future in futures:
-            future.cancel()
         raise
+    return [[_collect(task, next(outcomes), oracle) for task in column]
+            for column in columns]
 
 
 @functools.lru_cache(maxsize=None)
-def _pool(workers: int):
-    """The process's pool of that many threads, kept across calls: a fresh
-    thread may take a fresh malloc arena that stays resident.
+def _threads():
+    """The process's evaluating and drawing threads, as one-thread
+    executors started on their first job and kept across calls: a fresh
+    thread may take a fresh malloc arena that stays resident, and a worker
+    thread's arena takes far fewer page faults per pass than the calling
+    thread's.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(max_workers=workers)
+    return (ThreadPoolExecutor(1, "pitnear-evaluate"),
+            ThreadPoolExecutor(1, "pitnear-draw"))
 
 
-def _run_job(job: list[ComparisonTask], failed: threading.Event) -> list:
-    """The job's cells in order on one draw, each a GpnResult or the error
-    it raised; stops after the first error, or once the runner has failed.
+def _run_jobs(jobs: list[list[ComparisonTask]], failed: threading.Event) -> list:
+    """The Monte Carlo stage, on the evaluating thread: every job's cells in
+    order, each a GpnResult or the error it or its draw raised, up to the
+    first error or until the run has failed. It draws the first job itself,
+    and asks the drawing thread for job k + 1's draws before it runs job k's
+    cells.
     """
+    drawer = _threads()[1]
     outcomes: list = []
-    draws = None
-    for task in job:
+    ahead = None
+    for k, job in enumerate(jobs):
         if failed.is_set():
             break
         try:
-            if draws is None:
-                draws = _identity_draws(task)
-            # called through the module global, which a tracer may replace
-            outcomes.append(gpn_monte_carlo(task, draws))
+            # this releases the last job's draws before the next job's are asked for
+            draws = _identity_draws(job[0]) if ahead is None else ahead.result()
         except Exception as error:
             outcomes.append(error)
             break
+        ahead = drawer.submit(_identity_draws, jobs[k + 1][0]) if k + 1 < len(jobs) else None
+        for task in job:
+            if failed.is_set():
+                break
+            try:
+                # called through the module global, which a tracer may replace
+                outcomes.append(gpn_monte_carlo(task, draws))
+            except Exception as error:
+                outcomes.append(error)
+                failed.set()
+                break
+    if ahead is not None and not ahead.cancel():
+        ahead.exception()  # the stage ends with the drawing thread idle
     return outcomes
 
 
@@ -342,10 +370,3 @@ def _collect(task: ComparisonTask, outcome, oracle: bool) -> tuple[GpnResult, Op
     if isinstance(outcome, BaseException):
         raise outcome
     return outcome, gpn_oracle(task) if oracle else None
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1

@@ -1,7 +1,9 @@
-import concurrent.futures
 import csv
 import io
 import json
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -656,39 +658,50 @@ GOLDEN = [
      "run_exponential_wide.csv"),
 ]
 
-# A table's cells run on one pool across all its columns; the bytes must not
-# depend on how many threads that pool has.
-THREAD_COUNTS = [
+# A table's cells run on the evaluating thread while the drawing thread
+# draws the next column; the bytes must not depend on which of the two lags.
+THREAD_TIMINGS = [
     (["table", "4", "--samples", "2000", "--seed", "3", "--out", "csv"],
-     "table4_n2000_seed3.csv", cpus)
-    for cpus in (1, 5)
+     "table4_n2000_seed3.csv", timing)
+    for timing in ("late_draws", "fast_switches")
 ]
 
 
 @pytest.mark.parametrize(
-    "args, golden, cpus",
-    [(args, golden, None) for args, golden in GOLDEN] + THREAD_COUNTS,
-    ids=[g for _, g in GOLDEN] + [f"{g}-cpus{n}" for _, g, n in THREAD_COUNTS],
+    "args, golden, timing",
+    [(args, golden, None) for args, golden in GOLDEN] + THREAD_TIMINGS,
+    ids=[g for _, g in GOLDEN] + [f"{g}-{timing}" for _, g, timing in THREAD_TIMINGS],
 )
-def test_stdout_matches_golden(monkeypatch, args, golden, cpus):
-    if cpus is not None:
-        monkeypatch.setattr(gpn, "_usable_cpus", lambda: cpus)
-    result = CliRunner().invoke(main, args)
+def test_stdout_matches_golden(monkeypatch, args, golden, timing):
+    if timing == "late_draws":
+        identity_draws = gpn._identity_draws
+        monkeypatch.setattr(gpn, "_identity_draws",
+                            lambda task: time.sleep(0.01) or identity_draws(task))
+    interval = sys.getswitchinterval()
+    if timing == "fast_switches":
+        sys.setswitchinterval(1e-5)
+    try:
+        result = CliRunner().invoke(main, args)
+    finally:
+        sys.setswitchinterval(interval)
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == (DATA / golden).read_bytes()
 
 
-def test_table_runs_on_one_pool(monkeypatch):
-    # the pool's threads are kept across runs, so a second table starts none
-    pools = []
+def test_table_threads_start_once(monkeypatch):
+    # the evaluating and drawing threads are kept across runs, so a second
+    # table starts none
+    started = []
+    start = threading.Thread.start
 
-    class CountingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    gpn._pool.cache_clear()
+    for executor in gpn._threads():
+        executor.shutdown()
+    gpn._threads.cache_clear()
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
     run_table(4, n_samples=500, seed=1, oracle=True)
     run_table(1, n_samples=500, seed=1)
-    assert len(pools) == 1
+    assert sorted(name.split("_")[0] for name in started) == ["pitnear-draw", "pitnear-evaluate"]

@@ -1,7 +1,9 @@
 import importlib
 import json
 import sys
+import threading
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -443,7 +445,7 @@ class TestOracle:
 
 @pytest.fixture
 def fast_thread_switches():
-    """Switch threads every 10 us instead of 5 ms, to stress the pool."""
+    """Switch threads every 10 us instead of 5 ms, to stress the pipeline."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     yield
@@ -508,11 +510,13 @@ class TestRunColumns:
         b = run_columns(columns_for(ANCHOR_NORMAL, pair, [0.0, 1.0], LOC_ABS, 2 ** 10, 3))
         assert a == b
 
-    @pytest.mark.parametrize("workers", [1, 2, 5])
-    def test_matches_cell_by_cell(self, monkeypatch, fast_thread_switches, workers):
-        # the pool's results equal the cells run one by one, whatever the
-        # number of threads
-        monkeypatch.setattr(gpn, "_usable_cpus", lambda: workers)
+    @pytest.mark.parametrize("draw_delay", [0.0, 0.02], ids=["prompt_draws", "late_draws"])
+    def test_matches_cell_by_cell(self, monkeypatch, fast_thread_switches, draw_delay):
+        # the pipeline's results equal the cells run one by one, whether the
+        # evaluating thread waits for each job's draws or finds them ready
+        identity_draws = gpn._identity_draws
+        monkeypatch.setattr(gpn, "_identity_draws",
+                            lambda task: time.sleep(draw_delay) or identity_draws(task))
         pairs = [
             (
                 resolve_estimator(ANCHOR_NORMAL, 1, "rmle"),
@@ -607,12 +611,10 @@ class TestRunColumns:
             )
             assert value == gpn_oracle(task)
 
-    def test_cell_error_comes_out_in_cell_order(self, monkeypatch):
-        # each failing kernel raises inside a pool thread; the runner raises
-        # the error of the first failing cell in (column, gap) order, even
-        # when a later cell fails sooner
-        monkeypatch.setattr(gpn, "_usable_cpus", lambda: 4)
-
+    def test_cell_error_comes_out_in_cell_order(self):
+        # each failing kernel raises on the evaluating thread; the runner
+        # raises the error of the first failing cell in (column, gap) order,
+        # even when a later cell would fail sooner
         def failing(error, delay=0.0):
             def psi(t):
                 time.sleep(delay)
@@ -630,10 +632,9 @@ class TestRunColumns:
             with pytest.raises(expected):
                 run_columns(columns_for(ANCHOR_NORMAL, pairs, [0.0, 1.0], LOC_ABS, 2 ** 15))
 
-    def test_error_cancels_cells_not_started(self, monkeypatch):
-        # on one thread, the failing first cell leaves the seven behind it
-        # queued; each takes 50 ms, and the error cancels those not started
-        monkeypatch.setattr(gpn, "_usable_cpus", lambda: 1)
+    def test_error_cancels_cells_not_started(self):
+        # the failing first cell stops the run before the seven cells
+        # behind it, 50 ms each, start
         ran = []
 
         def failing_psi(t):
@@ -677,6 +678,125 @@ class TestRunColumns:
         with pytest.raises(FloatingPointError):
             run_columns([column])
         assert ran == []
+
+    def test_at_most_two_jobs_draws_alive(self, monkeypatch):
+        # the evaluating thread draws the first job and asks the drawing
+        # thread for job k + 1's draws before it runs job k's cells, and lets
+        # job k's draws go before it asks for job k + 2's: each draw after
+        # the first finds exactly one other job's draws alive
+        lock = threading.Lock()
+        alive = [0]
+        seen = []
+        drawn_on = []
+        identity_draws = gpn._identity_draws
+
+        def release():
+            with lock:
+                alive[0] -= 1
+
+        def counting(task):
+            draws = identity_draws(task)
+            with lock:
+                alive[0] += len(draws)
+                seen.append(alive[0])
+            drawn_on.append(threading.current_thread().name.split("_")[0])
+            for x in draws:
+                weakref.finalize(x, release)
+            return draws
+
+        monkeypatch.setattr(gpn, "_identity_draws", counting)
+        pairs = [
+            (resolve_estimator(ANCHOR_NORMAL, 1, cand), resolve_estimator(ANCHOR_NORMAL, 1, ref))
+            for cand, ref in [("rmle", "pnlee"), ("pdt", "rmle"), ("rmle", "pdt"),
+                              ("pnlee", "rmle"), ("pdt", "pnlee")]
+        ]
+        columns = columns_for(ANCHOR_NORMAL, pairs, [0.0, 1.0], LOC_ABS, 2 ** 14 + 3)
+        results = run_columns(columns)
+        assert seen == [2] + [4] * 4
+        assert drawn_on == ["pitnear-evaluate"] + ["pitnear-draw"] * 4
+        assert alive == [0]
+        assert [[r for r, _ in column] for column in results] == [
+            [gpn_monte_carlo(t) for t in column] for column in columns
+        ]
+
+    def test_run_right_after_a_failed_run(self):
+        # a failure leaves no job queued or half done behind it: a healthy
+        # run that follows at once returns the lone cells' results
+        def failing_psi(t):
+            raise FloatingPointError("kernel failed")
+
+        ref = resolve_estimator(ANCHOR_NORMAL, 1, "pnlee")
+        failing = Estimator("failing", 1, ProblemKind.LOCATION, failing_psi)
+        pairs = [(resolve_estimator(ANCHOR_NORMAL, 1, name), ref) for name in ("rmle", "pdt")]
+        with pytest.raises(FloatingPointError):
+            run_columns([column_tasks(ANCHOR_NORMAL, failing, ref, [0.0], LOC_ABS, 2 ** 16, 42, 0)]
+                        + columns_for(ANCHOR_NORMAL, pairs, [0.0, 1.0], LOC_ABS, 2 ** 16))
+        columns = columns_for(ANCHOR_NORMAL, pairs, [0.0, 1.0], LOC_ABS, 2 ** 14 + 3, 9)
+        results = []
+        runner = threading.Thread(target=lambda: results.append(run_columns(columns)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert results == [[[(gpn_monte_carlo(t), None) for t in column] for column in columns]]
+
+    def test_job_after_a_failure_draws_nothing(self, monkeypatch):
+        # the first job's cell fails; the second job's draws were asked for
+        # before it ran, but no later job draws, and no later cell runs
+        drawn = []
+        ran = []
+        identity_draws = gpn._identity_draws
+
+        def recording_draws(task):
+            drawn.append(task.seed)
+            return identity_draws(task)
+
+        def failing_psi(t):
+            raise FloatingPointError("kernel failed")
+
+        def recording_psi(t):
+            ran.append(t.size)
+            return t
+
+        monkeypatch.setattr(gpn, "_identity_draws", recording_draws)
+        ref = resolve_estimator(ANCHOR_NORMAL, 1, "pnlee")
+        failing = Estimator("failing", 1, ProblemKind.LOCATION, failing_psi)
+        recording = Estimator("recording", 1, ProblemKind.LOCATION, recording_psi)
+        columns = [column_tasks(ANCHOR_NORMAL, failing, ref, [0.0], LOC_ABS, 64, 42, 0)] + [
+            column_tasks(ANCHOR_NORMAL, recording, ref, [0.0, 1.0], LOC_ABS, 64, 42, i)
+            for i in range(1, 4)
+        ]
+        with pytest.raises(FloatingPointError):
+            run_columns(columns)
+        assert drawn[0] == columns[0][0].seed
+        assert set(drawn) <= {columns[0][0].seed, columns[1][0].seed}
+        assert ran == []
+
+    @pytest.mark.parametrize("failing_job", [0, 1])
+    def test_draw_error_comes_out_at_its_jobs_first_cell(self, monkeypatch, failing_job):
+        # job 0 draws on the evaluating thread and job 1 on the drawing
+        # thread; either way the error of a draw is its job's first cell's,
+        # raised after the cells before it ran and before any cell after it
+        ran = []
+        identity_draws = gpn._identity_draws
+
+        def recording_psi(t):
+            ran.append(t.size)
+            return t
+
+        ref = resolve_estimator(ANCHOR_NORMAL, 1, "pnlee")
+        recording = Estimator("recording", 1, ProblemKind.LOCATION, recording_psi)
+        columns = [column_tasks(ANCHOR_NORMAL, recording, ref, [0.0, 1.0], LOC_ABS, 64, 42, i)
+                   for i in range(3)]
+
+        def failing_draws(task):
+            if task.seed == columns[failing_job][0].seed:
+                raise KeyError("draw failed")
+            return identity_draws(task)
+
+        monkeypatch.setattr(gpn, "_identity_draws", failing_draws)
+        with pytest.raises(KeyError, match="draw failed"):
+            run_columns(columns)
+        assert len(ran) == 2 * failing_job
 
     def test_cell_seeds_distinct(self):
         seeds = {derive_cell_seed(42, i, j) for i in range(4) for j in range(8)}
