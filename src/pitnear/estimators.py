@@ -237,6 +237,11 @@ def _gamma_catalog(model: GammaScale, component: int) -> tuple[Estimator, ...]:
             lambda t: np.minimum(1.0 / a1, (1.0 + t) / asum),
             breakpoints=(a2 / a1,),
         )
+        # nothing switches at asum / nu - 1 (the kernel is on its 1 / a1
+        # branch there and the band's lower end acts on both sides), but the
+        # point stays a panel edge: without it 49 certification values move
+        # by up to 5.6e-9 (GammaScale(30, 1), gap 100) and a certification
+        # pass takes 1,576 integrand calls, not 1,317
         rmle_star = clamp(rmle, model, (asum / nu - 1.0,))
         pnsee_star = clamp(pnsee, model, (nu / nu1 - 1.0,))
         ue_star = clamp(ue, model, (nu / a1 - 1.0,))

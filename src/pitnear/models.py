@@ -24,7 +24,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .specfun import _LN2, gamma_median, gammaln, normal_cdf, regularized_gamma_p
+from .specfun import _LN2, _MAX_SHAPE, gamma_median, gammaln, normal_cdf, regularized_gamma_p
 
 __all__ = [
     "ProblemKind",
@@ -41,11 +41,6 @@ __all__ = [
 # Draws per block wherever a pass over the draws works block by block: a
 # block's float64 temporaries (128 KiB each) stay in cache.
 _BLOCK = 1 << 14
-
-# Largest supported gamma shape sum alpha1 + alpha2. The pooled median and
-# the conditional CDF evaluate the incomplete gamma at that shape, and its
-# series stops converging within the iteration budget near 550.
-GAMMA_MAX_SHAPE_SUM = 500.0
 
 
 class ProblemKind(Enum):
@@ -415,9 +410,10 @@ class GammaScale:
     def __post_init__(self):
         if not (self.alpha1 > 0.0 and self.alpha2 > 0.0):
             raise DomainError("alpha1 and alpha2 must be positive")
-        if not self.alpha1 + self.alpha2 <= GAMMA_MAX_SHAPE_SUM:
+        # the pooled median and the conditional CDF take P at the shape sum
+        if not self.alpha1 + self.alpha2 <= _MAX_SHAPE:
             raise DomainError(
-                f"alpha1 + alpha2 must be at most {GAMMA_MAX_SHAPE_SUM:g}, "
+                f"alpha1 + alpha2 must be at most {_MAX_SHAPE:g}, "
                 f"got {self.alpha1 + self.alpha2:g}"
             )
 

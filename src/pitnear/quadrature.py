@@ -1,5 +1,5 @@
-"""Adaptive one-dimensional quadrature on a Gauss-Kronrod 7-15 rule, for one
-integral or several in lockstep.
+"""Adaptive one-dimensional quadrature on a Gauss-Kronrod 7-15 rule, for
+several integrals in lockstep.
 
 The integrand is called with an ndarray of nodes and must return an ndarray
 of the same shape, computed element by element: a node's value may not
@@ -23,7 +23,8 @@ times the panel's depth. Where no decay shows, it goes to three times the
 panel's depth. A descent into a cut thus mostly takes one call after its
 first. Panels asked for ahead may lie where the loop never goes: if a call
 raises, each integral's need is evaluated in a call of its own, so an
-integral fails only where it fails alone.
+integral fails only where it fails alone, and an integral sent only its
+need asks for nothing ahead for the rest of its run.
 
 Integrals in lockstep each keep their own cuts, heap, total, error, panels
 known ahead and panel budget, and every round puts all their requests into
@@ -37,7 +38,7 @@ import heapq
 import math
 from math import isfinite
 from itertools import chain, islice
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -146,38 +147,31 @@ def _chain_levels(depth: int, e: float, e_parent: float, abs_tol: float) -> int:
 
 
 def adaptive_quadrature(
-    f: Callable[..., np.ndarray],
-    a: Union[float, Sequence[float]],
-    b: Union[float, Sequence[float]],
+    f: Callable[[np.ndarray, list[int]], np.ndarray],
+    a: Sequence[float],
+    b: Sequence[float],
     *,
-    breakpoints: Iterable = (),
-    abs_tol: float = 1e-9,
-    rel_tol: float = 0.0,
-    max_panels: int = 2000,
-) -> Union[float, list[float]]:
-    """Integrate f over [a, b], bisecting the worst panel until the summed
-    error estimate meets abs_tol (or rel_tol relative to the running value).
+    breakpoints: Sequence[Sequence[float]],
+    abs_tol: float,
+    max_panels: int,
+) -> list[float]:
+    """Integrate f over each [a[i], b[i]] in lockstep, bisecting each
+    integral's worst panel until its summed error estimate meets abs_tol or
+    it has max_panels panels (then ConvergenceError); returns the values.
 
-    Interior breakpoints become initial panel boundaries so that integrand
-    kinks do not degrade the error estimates. A panel of the partition whose
-    K15 or G7 sum is not finite raises ConvergenceError.
-
-    With equal-length sequences a, b and breakpoints, one breakpoint list
-    per integral, the integrals run in lockstep and their values are
-    returned as a list: f is called as f(x, sizes), where x holds sizes[0]
-    nodes of integral 0, then sizes[1] of integral 1, and so on. The first
-    failing integral in index order raises its error.
+    breakpoints[i] lists integral i's interior breakpoints, which become
+    initial panel boundaries so that integrand kinks do not degrade the
+    error estimates. f is called as f(x, sizes), where x holds sizes[0]
+    nodes of integral 0, then sizes[1] of integral 1, and so on. A panel of
+    a partition whose K15 or G7 sum is not finite raises ConvergenceError.
+    The first failing integral in index order raises its error.
     """
     # NaN fails the comparison too
-    if not (abs_tol >= 0.0 and rel_tol >= 0.0):
-        raise ValueError(f"abs_tol and rel_tol must be >= 0, got {abs_tol} and {rel_tol}")
-    if np.ndim(a) == 0:
-        return adaptive_quadrature(lambda x, sizes: f(x), [a], [b], breakpoints=[breakpoints],
-                                   abs_tol=abs_tol, rel_tol=rel_tol, max_panels=max_panels)[0]
-    breakpoints = list(breakpoints)
+    if not abs_tol >= 0.0:
+        raise ValueError(f"abs_tol must be >= 0, got {abs_tol}")
     if not len(a) == len(b) == len(breakpoints):
         raise ValueError("a, b and breakpoints must hold one entry per integral")
-    loops = [_greedy(*args, abs_tol, rel_tol, max_panels)
+    loops = [_greedy(*args, abs_tol, max_panels)
              for args in zip(a, b, breakpoints)]
     values: list = [None] * len(loops)
     failures: dict[int, Exception] = {}
@@ -234,7 +228,7 @@ def _round(f, requests: dict, n: int) -> dict:
     return out
 
 
-def _greedy(a, b, breakpoints, abs_tol, rel_tol, max_panels):
+def _greedy(a, b, breakpoints, abs_tol, max_panels):
     """The greedy loop of one integral, as a generator. It yields (need,
     ahead): the bounds of the panels it needs now and of those it will ask
     for next. It is sent the (value, error) list of need + ahead, or of need
@@ -254,6 +248,8 @@ def _greedy(a, b, breakpoints, abs_tol, rel_tol, max_panels):
     # each initial panel's first bisection, asked for with the panels
     ahead = [p for lo, hi in bounds for p in _lookahead(lo, hi, 0, cut_set, 0)[0]]
     figures = yield bounds, ahead
+    # once sent its need alone, it asks for nothing ahead again
+    fell_back = len(figures) < len(bounds) + len(ahead)
     for (lo, hi), (val, e) in zip(bounds, figures):
         total += val
         err += e
@@ -263,7 +259,7 @@ def _greedy(a, b, breakpoints, abs_tol, rel_tol, max_panels):
     known = dict(zip(ahead, figures[len(bounds):]))
     n_panels = len(heap)
     pop, push = heapq.heappop, heapq.heappush
-    while err > abs_tol and err > rel_tol * abs(total):
+    while err > abs_tol:
         if n_panels >= max_panels:
             raise ConvergenceError(
                 f"quadrature error estimate {err:.3e} after {n_panels} panels "
@@ -279,9 +275,10 @@ def _greedy(a, b, breakpoints, abs_tol, rel_tol, max_panels):
             continue
         left = known.pop((lo, mid), None)
         if left is None:
-            levels = _chain_levels(depth, -ne, pe, abs_tol)
+            levels = depth if fell_back else _chain_levels(depth, -ne, pe, abs_tol)
             need, ahead = _lookahead(lo, hi, depth, cut_set, levels)
             figures = yield need, ahead
+            fell_back = fell_back or len(figures) < len(need) + len(ahead)
             known.update(zip(need + ahead, figures))
             left = known.pop((lo, mid))
         v1, e1 = left

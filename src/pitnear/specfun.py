@@ -30,6 +30,12 @@ _MAX_ITER = 200
 # Terms per block of the series and the continued fraction: convergence is
 # tested once per block; converged elements stay in the arrays.
 _BLOCK = 4
+# Largest shape the public functions accept. Just below _series_split the
+# series needs about 8.6 sqrt(alpha) terms, more than _MAX_ITER from a shape
+# near 550 up, and from 2**53 up alpha + 1 rounds to alpha, so the fraction
+# divides by zero; a larger shape raises DomainError. GammaScale caps its
+# shape sum here.
+_MAX_SHAPE = 500.0
 # Convergence tolerance of the continued fraction, relative to its value.
 # Rounding leaves successive convergents a few units in the last place
 # apart, so a bound of one eps is never met for some inputs.
@@ -140,13 +146,13 @@ def _gamma_q_contfrac(alpha: float, x: np.ndarray, max_iter: int) -> np.ndarray:
 
 
 def regularized_gamma_p(alpha: float, x):
-    """Regularized lower incomplete gamma P(alpha, x).
+    """Regularized lower incomplete gamma P(alpha, x), for 0 < alpha <= 500.
 
     Accepts a scalar or ndarray x; series below _series_split(alpha),
     continued fraction from there.
     """
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"regularized_gamma_p requires a finite alpha > 0, got {alpha}")
+    if not 0.0 < alpha <= _MAX_SHAPE:
+        raise DomainError(f"regularized_gamma_p requires 0 < alpha <= {_MAX_SHAPE:g}, got {alpha}")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -166,7 +172,7 @@ def regularized_gamma_p(alpha: float, x):
 
 
 def gamma_median(alpha: float) -> float:
-    """Median of the Gamma(alpha, 1) distribution.
+    """Median of the Gamma(alpha, 1) distribution, for 0 < alpha <= 500.
 
     Newton steps on P(alpha, m) = 1/2 from a closed-form start: below shape
     1, (Gamma(alpha + 1)/2)^(1/alpha), where the series' first term
@@ -177,8 +183,8 @@ def gamma_median(alpha: float) -> float:
     leaves binary64 range: below shape ~9.6e-4 the median underflows. A
     last residual above 1e-12 raises ConvergenceError.
     """
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"gamma_median requires a finite alpha > 0, got {alpha}")
+    if not 0.0 < alpha <= _MAX_SHAPE:
+        raise DomainError(f"gamma_median requires 0 < alpha <= {_MAX_SHAPE:g}, got {alpha}")
     lo = max(alpha - 1.0 / 3.0, 0.0)
     if alpha < 1.0:
         m = math.exp((gammaln(alpha + 1.0) - _LN2) / alpha)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pitnear.cli as cli
 import pitnear.gpn as gpn
 from pitnear.errors import DomainError
 from pitnear.estimators import Estimator, LossFn, resolve_estimator
@@ -839,3 +840,27 @@ def test_benchmark_tracer_patch_points_exist(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.restored()
+
+
+def test_benchmark_tracer_keeps_the_call_shapes(monkeypatch):
+    # the tracer calls each patched name as the package does, and wraps the
+    # quadrature's integrand as traced(f, a, b, **kwargs): a traced oracle
+    # cell and a traced table with oracle give their untraced results and
+    # record integrand spans
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    task = ComparisonTask(
+        ANCHOR_GAMMA, ANCHOR_GAMMA.kind.pinned_params(2.0),
+        resolve_estimator(ANCHOR_GAMMA, 1, "rmle_star"), resolve_estimator(ANCHOR_GAMMA, 1, "rmle"),
+        SCALE_ABS,
+    )
+    table = {"n_samples": 2000, "seed": 3, "oracle": True, "out": "csv"}
+    untraced = gpn.gpn_oracle(task), cli.run_table(4, **table)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = gpn.gpn_oracle(task), cli.run_table(4, **table)
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert tracer.summary()["quadrature.integrand"]["count"] > 0

@@ -362,7 +362,7 @@ _D_INTEGRANDS = {
 }
 
 
-def d_density_integral(model, lam, t, rel_tol=1e-9):
+def d_density_integral(model, lam, t, abs_tol):
     """Contrast density at t from its defining integral over the first
     pivot, by adaptive quadrature.
     """
@@ -370,8 +370,9 @@ def d_density_integral(model, lam, t, rel_tol=1e-9):
     model.kind.check_contrast(t)
     lo, hi, integrand = _D_INTEGRANDS[type(model)](model, lam, float(t))
     return adaptive_quadrature(
-        integrand, lo, hi, abs_tol=0.0, rel_tol=rel_tol, max_panels=4000
-    )
+        lambda x, sizes: integrand(x), [lo], [hi], breakpoints=[()], abs_tol=abs_tol,
+        max_panels=4000,
+    )[0]
 
 
 class TestContrastDensity:
@@ -398,7 +399,9 @@ class TestContrastDensity:
         for lam in lams[:3]:
             for t in ts:
                 closed = model.d_density(lam, t)
-                quad = d_density_integral(model, lam, t, rel_tol=1e-9)
+                # a tolerance relative to the closed form: the assertion
+                # below still fails on a wrong closed form
+                quad = d_density_integral(model, lam, t, abs_tol=1e-9 * abs(closed))
                 assert quad == pytest.approx(closed, rel=5e-9, abs=1e-300)
 
     @pytest.mark.parametrize(
@@ -420,13 +423,15 @@ class TestContrastDensity:
         lam = 0.8 if model.kind is ProblemKind.LOCATION else 1.8
         total = 0.0
         for seg in model.d_quadrature_segments(lam):
-            total += adaptive_quadrature(
-                lambda s, seg=seg: model.d_density(lam, seg.to_t(s)) * seg.jacobian(s),
-                seg.lo,
-                seg.hi,
+            [value] = adaptive_quadrature(
+                lambda s, sizes, seg=seg: model.d_density(lam, seg.to_t(s)) * seg.jacobian(s),
+                [seg.lo],
+                [seg.hi],
+                breakpoints=[()],
                 abs_tol=1e-8,
                 max_panels=4000,
             )
+            total += value
         assert total == pytest.approx(1.0, abs=1e-6)
 
 

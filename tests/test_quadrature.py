@@ -14,8 +14,16 @@ from pitnear.models import ExponentialLocation, GammaScale, PowerScale
 from pitnear.quadrature import _WG, _WK, _XK, _panels, adaptive_quadrature
 
 
+def _one(g, a, b, *, breakpoints=(), **kw):
+    """The integral of a one-argument integrand g over [a, b], run as the
+    only integral of the lockstep form.
+    """
+    return adaptive_quadrature(lambda x, sizes: g(x), [a], [b], breakpoints=[breakpoints],
+                               **kw)[0]
+
+
 def test_smooth_integrand():
-    val = adaptive_quadrature(np.sin, 0.0, math.pi, abs_tol=1e-12)
+    val = _one(np.sin, 0.0, math.pi, abs_tol=1e-12, max_panels=2000)
     assert val == pytest.approx(2.0, abs=1e-11)
 
 
@@ -23,7 +31,7 @@ def test_gaussian_mass():
     def dens(x):
         return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
-    val = adaptive_quadrature(dens, -10.0, 10.0, abs_tol=1e-11)
+    val = _one(dens, -10.0, 10.0, abs_tol=1e-11, max_panels=2000)
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
@@ -32,7 +40,7 @@ def test_kink_with_breakpoint():
         return np.abs(x - 0.3)
 
     exact = 0.3 ** 2 / 2 + 0.7 ** 2 / 2
-    val = adaptive_quadrature(f, 0.0, 1.0, breakpoints=[0.3], abs_tol=1e-12)
+    val = _one(f, 0.0, 1.0, breakpoints=[0.3], abs_tol=1e-12, max_panels=2000)
     assert val == pytest.approx(exact, abs=1e-11)
 
 
@@ -40,7 +48,7 @@ def test_integrable_endpoint_singularity():
     def f(x):
         return 1.0 / np.sqrt(np.maximum(x, 1e-300))
 
-    val = adaptive_quadrature(f, 0.0, 1.0, abs_tol=1e-9, max_panels=4000)
+    val = _one(f, 0.0, 1.0, abs_tol=1e-9, max_panels=4000)
     assert val == pytest.approx(2.0, abs=1e-7)
 
 
@@ -49,7 +57,7 @@ def test_panel_budget_error():
         return 1.0 / np.sqrt(np.maximum(x, 1e-300))
 
     with pytest.raises(ConvergenceError):
-        adaptive_quadrature(f, 0.0, 1.0, abs_tol=1e-9, max_panels=3)
+        _one(f, 0.0, 1.0, abs_tol=1e-9, max_panels=3)
 
 
 @pytest.mark.parametrize(
@@ -60,23 +68,19 @@ def test_empty_interval_rejected(a, b):
         raise AssertionError("integrand called")
 
     with pytest.raises(ConvergenceError):
-        adaptive_quadrature(never, a, b)
+        _one(never, a, b, abs_tol=1e-9, max_panels=2000)
 
 
-@pytest.mark.parametrize("abs_tol, rel_tol", [
-    (math.nan, 0.0), (0.0, math.nan), (-1e-9, 0.0), (1e-9, -1e-9),
-])
-def test_invalid_tolerance_rejected(abs_tol, rel_tol):
+@pytest.mark.parametrize("abs_tol", [math.nan, -1e-9, -math.inf])
+def test_invalid_tolerance_rejected(abs_tol):
     # a NaN tolerance stops no loop test, so the sum of the initial panels
     # came back as the integral; a negative one ran to the panel budget
-    def never(x, sizes=None):
+    def never(x, sizes):
         raise AssertionError("integrand called")
 
-    with pytest.raises(ValueError, match="abs_tol and rel_tol"):
-        adaptive_quadrature(never, 0.0, 1.0, abs_tol=abs_tol, rel_tol=rel_tol)
-    with pytest.raises(ValueError, match="abs_tol and rel_tol"):
+    with pytest.raises(ValueError, match="abs_tol"):
         adaptive_quadrature(never, [0.0, 1.0], [1.0, 2.0], breakpoints=[[], []],
-                            abs_tol=abs_tol, rel_tol=rel_tol)
+                            abs_tol=abs_tol, max_panels=2000)
 
 
 def test_oracle_rejects_a_nan_tolerance():
@@ -86,7 +90,7 @@ def test_oracle_rejects_a_nan_tolerance():
         resolve_estimator(model, 1, "rmle_star"), resolve_estimator(model, 1, "rmle"),
         LossFn.from_name("scale_abs"),
     )
-    with pytest.raises(ValueError, match="abs_tol and rel_tol"):
+    with pytest.raises(ValueError, match="abs_tol"):
         gpn.gpn_oracle(task, abs_tol=math.nan)
 
 
@@ -120,9 +124,7 @@ def test_panel_sums_batch_independent():
     assert np.array(_panels(f, bounds)).tobytes() == alone
 
 
-def _greedy_one_panel_per_call(
-    f, a, b, *, breakpoints=(), abs_tol=1e-9, rel_tol=0.0, max_panels=2000
-):
+def _greedy_one_panel_per_call(f, a, b, *, breakpoints=(), abs_tol, max_panels):
     """Reference greedy loop: one integrand call per 15-node panel, with the
     budget and float-resolution rules of adaptive_quadrature. Returns the
     integral, the smallest max_panels that it passes with, and the number of
@@ -142,7 +144,7 @@ def _greedy_one_panel_per_call(
         heapq.heappush(heap, (-e, lo, hi, val))
     n_panels = len(heap)
     needed = accepted = 0
-    while err > abs_tol and err > rel_tol * abs(total):
+    while err > abs_tol:
         needed = n_panels + 1
         if n_panels >= max_panels:
             raise ConvergenceError(f"reference over its budget of {max_panels} panels")
@@ -169,13 +171,15 @@ def _greedy_one_panel_per_call(
 # deep, and down to float resolution, where the nodes of the last panels
 # round onto the cut itself and a floor keeps the integrand finite
 DESCENTS = {
-    "x**-0.5": (lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300)), 0.0, 1.0, {}),
-    "(1-x)**-0.5": (lambda x: 1.0 / np.sqrt(np.maximum(1.0 - x, 2.0 ** -54)), 0.0, 1.0, {}),
+    "x**-0.5": (lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300)), 0.0, 1.0, {"abs_tol": 1e-9}),
+    "(1-x)**-0.5": (
+        lambda x: 1.0 / np.sqrt(np.maximum(1.0 - x, 2.0 ** -54)), 0.0, 1.0, {"abs_tol": 1e-9},
+    ),
     "|x-0.3|**-0.5": (
         lambda x: 1.0 / np.sqrt(np.maximum(np.abs(x - 0.3), 2.0 ** -56)),
-        0.0, 1.0, {"breakpoints": [0.3]},
+        0.0, 1.0, {"breakpoints": [0.3], "abs_tol": 1e-9},
     ),
-    "x**-0.9": (lambda x: np.maximum(x, 1e-300) ** -0.9, 0.0, 1.0, {}),
+    "x**-0.9": (lambda x: np.maximum(x, 1e-300) ** -0.9, 0.0, 1.0, {"abs_tol": 1e-9}),
     "x**-0.9 to float resolution": (
         lambda x: np.maximum(x - 1.0, 2.0 ** -53) ** -0.9, 1.0, 1.0 + 2.0 ** -46,
         {"abs_tol": 0.0},
@@ -195,14 +199,14 @@ def test_grouped_calls_keep_the_greedy_partition(name):
     ref, needed, accepted = _greedy_one_panel_per_call(f, a, b, max_panels=10 ** 6, **kw)
     ref_calls = len(calls)
     calls.clear()
-    val = adaptive_quadrature(f, a, b, max_panels=needed, **kw)
+    val = _one(f, a, b, max_panels=needed, **kw)
     n_calls = len(calls)
     assert val == ref
     assert n_calls <= ref_calls // 2 + 1
     assert (accepted > 0) == name.endswith("float resolution")
     # the budget counts panels: one fewer allowed panel must fail
     with pytest.raises(ConvergenceError):
-        adaptive_quadrature(f, a, b, max_panels=needed - 1, **kw)
+        _one(f, a, b, max_panels=needed - 1, **kw)
     assert n_calls <= DESCENT_CALLS[name]
 
 
@@ -235,7 +239,7 @@ def test_predicted_descents_keep_the_greedy_partition(beta, cut, log_tol):
 
     kw = {"breakpoints": [0.0], "abs_tol": 10.0 ** log_tol}
     ref, needed, _ = _greedy_one_panel_per_call(g, -cut, 1.0 - cut, max_panels=10 ** 4, **kw)
-    assert adaptive_quadrature(g, -cut, 1.0 - cut, max_panels=needed, **kw) == ref
+    assert _one(g, -cut, 1.0 - cut, max_panels=needed, **kw) == ref
 
 
 def _stacked(integrands, calls):
@@ -252,6 +256,7 @@ def _stacked(integrands, calls):
     return f
 
 
+# each runs at abs_tol = 1e-9, the one tolerance of a lockstep run
 LOCKSTEP = {**DESCENTS, "sin": (np.sin, 0.0, math.pi, {})}
 
 
@@ -259,9 +264,9 @@ def _solo(name):
     """Value and integrand call count of one LOCKSTEP integral alone."""
     g, a, b, kw = LOCKSTEP[name]
     calls = []
-    val = adaptive_quadrature(
+    val = _one(
         lambda x: calls.append(x.size) or g(x), a, b,
-        breakpoints=kw.get("breakpoints", ()), max_panels=10 ** 4,
+        breakpoints=kw.get("breakpoints", ()), abs_tol=1e-9, max_panels=10 ** 4,
     )
     return val, len(calls)
 
@@ -273,6 +278,7 @@ def _run_lockstep(names, calls):
         [a for _, a, _, _ in items],
         [b for _, _, b, _ in items],
         breakpoints=[kw.get("breakpoints", ()) for *_, kw in items],
+        abs_tol=1e-9,
         max_panels=10 ** 4,
     )
 
@@ -299,35 +305,36 @@ def test_lockstep_copies_take_the_solo_calls():
 
 
 def test_lockstep_rejects_mismatched_lengths():
+    kw = {"abs_tol": 1e-9, "max_panels": 2000}
     with pytest.raises(ValueError):
-        adaptive_quadrature(lambda x, sizes: x, [0.0, 1.0], [1.0], breakpoints=[[], []])
+        adaptive_quadrature(lambda x, sizes: x, [0.0, 1.0], [1.0], breakpoints=[[], []], **kw)
     with pytest.raises(ValueError):
-        adaptive_quadrature(lambda x, sizes: x, [0.0, 1.0], [1.0, 2.0], breakpoints=[[0.5]])
+        adaptive_quadrature(lambda x, sizes: x, [0.0, 1.0], [1.0, 2.0], breakpoints=[[0.5]],
+                            **kw)
 
 
 # integrands that raise only at nodes the one-panel-per-call loop never
 # evaluates: the centre of a grandchild of the initial panel [0.5, 1], which
-# is never bisected, and nodes below 1e-30, deeper than the descent into 0
-# goes but not deeper than the panels asked for ahead of it. Under abs_tol
-# the chain ends three levels past the predicted end of the descent, and
-# every request after a fall-back asks for those levels again until their
-# parents' need holds them; under rel_tol alone no decay is read, and the
-# chain goes to three times its panel's depth
+# is never bisected, and nodes below 1e-22, deeper than the descent into 0
+# goes at abs_tol = 3e-11 but not deeper than the chain asked for ahead of
+# it, which ends three levels past the predicted end of the descent. After
+# the fall-back the loop asks for nothing ahead, and the needs of its later
+# requests stay above 1e-22
 def _raises_at_grandchild(x):
     if np.any(x == 0.5625):
         raise ValueError("a grandchild's node")
     return np.where(x < 0.5, np.sqrt(x), x * x)
 
 
-def _raises_below_1e_30(x):
-    if np.any((x > 0.0) & (x < 1e-30)):
+def _raises_below_1e_22(x):
+    if np.any((x > 0.0) & (x < 1e-22)):
         raise ValueError("a node below the descent")
     return 1.0 / np.sqrt(np.maximum(x, 1e-300))
 
 
 @pytest.mark.parametrize("g, kw", [
-    (_raises_at_grandchild, {"breakpoints": [0.5]}),
-    (_raises_below_1e_30, {"abs_tol": 0.0, "rel_tol": 5e-10}),
+    (_raises_at_grandchild, {"breakpoints": [0.5], "abs_tol": 1e-9}),
+    (_raises_below_1e_22, {"abs_tol": 3e-11}),
 ])
 def test_panels_asked_for_ahead_fall_back_when_they_raise(g, kw):
     ref, needed, _ = _greedy_one_panel_per_call(g, 0.0, 1.0, max_panels=10 ** 6, **kw)
@@ -340,17 +347,40 @@ def test_panels_asked_for_ahead_fall_back_when_they_raise(g, kw):
             raised.append(x.size)
             raise
 
-    assert adaptive_quadrature(f, 0.0, 1.0, max_panels=needed, **kw) == ref
+    assert _one(f, 0.0, 1.0, max_panels=needed, **kw) == ref
     assert len(raised) == 1
     # the same in lockstep beside an integral that never raises
-    tols = {k: v for k, v in kw.items() if k != "breakpoints"}
-    sin_val = adaptive_quadrature(np.sin, 0.0, math.pi, **tols)
+    abs_tol = kw["abs_tol"]
+    sin_val = _one(np.sin, 0.0, math.pi, abs_tol=abs_tol, max_panels=2000)
     values = adaptive_quadrature(
         _stacked([np.sin, f], []), [0.0, 0.0], [math.pi, 1.0],
-        breakpoints=[[], kw.get("breakpoints", [])], max_panels=needed, **tols,
+        breakpoints=[[], kw.get("breakpoints", [])], abs_tol=abs_tol, max_panels=needed,
     )
     assert values == [sin_val, ref]
     assert len(raised) == 2
+
+
+def test_a_fall_back_stops_the_chains_asked_for_ahead():
+    # x**-0.5 raising below 1e-15, where the descent at abs_tol = 1e-9 goes
+    # (its one-panel-per-call loop evaluates nodes down to 4.7e-19): the
+    # call holding the first chain raises and the need alone does not;
+    # later requests ask for their need only, and the first need that
+    # reaches below 1e-15 raises twice: in the round's call and in the
+    # fall-back call on the need alone
+    raised = []
+
+    def f(x):
+        if np.any((x > 0.0) & (x < 1e-15)):
+            raised.append(x.size)
+            raise ValueError("a node below 1e-15")
+        return 1.0 / np.sqrt(np.maximum(x, 1e-300))
+
+    with pytest.raises(ValueError, match="below 1e-15"):
+        _greedy_one_panel_per_call(f, 0.0, 1.0, abs_tol=1e-9, max_panels=10 ** 6)
+    raised.clear()
+    with pytest.raises(ValueError, match="below 1e-15"):
+        _one(f, 0.0, 1.0, abs_tol=1e-9, max_panels=10 ** 6)
+    assert len(raised) == 3
 
 
 def _fails_on(bad0, bad1):
@@ -386,7 +416,8 @@ def test_lockstep_raises_the_first_failing_integral(bad0, bad1, error, match):
             raise
 
     with pytest.raises(error, match=match):
-        adaptive_quadrature(g, [0.0, 0.0], [1.0, 1.0], breakpoints=[[], []])
+        adaptive_quadrature(g, [0.0, 0.0], [1.0, 1.0], breakpoints=[[], []], abs_tol=1e-9,
+                            max_panels=2000)
     # where integral 1's need raises, the call on every panel fails, then
     # the call on integral 1's need alone, and no other
     parts = [[n > 0 for n in sizes] for sizes in raised]
@@ -410,9 +441,9 @@ def test_non_finite_panel_raises(name):
     # does not warn first
     f = NON_FINITE[name]
     with pytest.raises(ConvergenceError, match="non-finite"):
-        adaptive_quadrature(f, 0.0, 1.0)
+        _one(f, 0.0, 1.0, abs_tol=1e-9, max_panels=2000)
     with pytest.raises(ConvergenceError, match="non-finite"):
-        adaptive_quadrature(f, 0.0, 1.0, breakpoints=[0.5])
+        _one(f, 0.0, 1.0, breakpoints=[0.5], abs_tol=1e-9, max_panels=2000)
 
 
 def test_non_finite_panel_found_while_refining_raises():
@@ -421,7 +452,7 @@ def test_non_finite_panel_found_while_refining_raises():
         return np.where(x == 0.5, np.nan, np.sin(20.0 * x))
 
     with pytest.raises(ConvergenceError, match="non-finite"):
-        adaptive_quadrature(f, 0.0, 2.0, abs_tol=1e-12)
+        _one(f, 0.0, 2.0, abs_tol=1e-12, max_panels=2000)
 
 
 def _oracle_cases():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,18 @@ class TestRegularizedGammaP:
         with pytest.raises(DomainError):
             regularized_gamma_p(np.inf, np.array([0.5, 2.0]))
 
+    @pytest.mark.parametrize("alpha, x", [
+        (600.0, 594.0), (1e4, 1e4), (2.0 ** 53, 2.0 ** 53), (1e300, 1e300),
+    ])
+    def test_shape_above_the_cap_raises(self, alpha, x):
+        # uncapped, the series runs out of terms just below the split from a
+        # shape near 550 up, and from 2**53 up x = alpha goes to the fraction
+        # with b0 = 0, which warns of a division by zero before it fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="alpha <= 500"):
+                regularized_gamma_p(alpha, x)
+
 
 class TestGammaMedian:
     def test_exponential_case(self):
@@ -230,6 +243,14 @@ class TestGammaMedian:
     def test_infinite_shape_raises(self):
         with pytest.raises(DomainError):
             gamma_median(np.inf)
+
+    def test_shape_above_the_cap_raises(self):
+        # uncapped, its first residual needs P(600, m) just below the split,
+        # where the series runs out of terms
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="alpha <= 500"):
+                gamma_median(600.0)
 
     @pytest.mark.parametrize("alpha", [9.4e-4, 9.5e-4])
     def test_reports_residual_on_failure(self, alpha):
