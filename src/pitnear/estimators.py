@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -93,6 +93,11 @@ class Estimator:
     kernel contract: psi is continuous and monotone between consecutive
     breakpoints within the contrast's domain. Points the kernel does not
     need are allowed.
+
+    A clamped estimator (see clamp) also carries the estimator it clamps as
+    base and the projection clip(values, t) of base kernel values onto its
+    band, with psi(t) = clip(base.psi(t), t), so that a cell comparing the
+    two evaluates the shared kernel once. Both are None for other kernels.
     """
 
     name: str
@@ -100,6 +105,8 @@ class Estimator:
     kind: ProblemKind
     psi: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple[float, ...] = ()
+    base: Optional[Estimator] = None
+    clip: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.target not in (1, 2):
@@ -134,24 +141,25 @@ def clamp(base: Estimator, model: ModelSpec, crossings: tuple[float, ...] = ()) 
     The median is monotone in the gap, so at each contrast the band is
     spanned by its value at the identity gap and its limit as the gap grows
     without bound, which for every model does not depend on the contrast.
-    kind.kernel_band maps both to kernel space and orders them; the limit
-    is NaN (0 * inf) where the median ignores the gap, and both ends are
-    then the identity-gap value. The clamped kernel's breakpoints are the
-    base kernel's, the median's kinks and the crossings, the points where
-    the kernel meets an end of the band, which the caller passes.
+    kind.kernel_clip maps both to kernel space, the limit once, when the
+    clamp is built. The limit is NaN (0 * inf) where the median ignores the
+    gap, and both ends are then the identity-gap value. The clamped
+    estimator keeps base and its clip. Its breakpoints are the base
+    kernel's, the median's kinks and the crossings, the points where the
+    kernel meets an end of the band, which the caller passes.
     """
     if base.kind is not model.kind:
         raise DomainError("estimator kind does not match the model kind")
-    component, kind, psi = base.target, base.kind, base.psi
-    median, identity = model._median, kind.identity
-    far = float(median(component, np.inf, identity))
+    component, psi = base.target, base.psi
+    median, identity = model._median, base.kind.identity
+    band_clip = base.kind.kernel_clip(float(median(component, np.inf, identity)))
 
-    def clamped(t):
-        lower, upper = kind.kernel_band(median(component, identity, t), far)
-        return np.maximum(lower, np.minimum(psi(t), upper))
+    def clip(values, t):
+        return band_clip(values, median(component, identity, t))
 
-    return replace(base, name=base.name + "_star", psi=clamped,
-                   breakpoints=base.breakpoints + model.median_kinks + crossings)
+    return replace(base, name=base.name + "_star", psi=lambda t: clip(psi(t), t),
+                   breakpoints=base.breakpoints + model.median_kinks + crossings,
+                   base=base, clip=clip)
 
 
 def _normal_catalog(model: BivariateNormal, component: int) -> tuple[Estimator, ...]:

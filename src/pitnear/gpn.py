@@ -150,7 +150,7 @@ def gpn_monte_carlo(
             b1 = kind.move(x1[i:i + m], params.theta1, out=buf1[:m]) if move1 else x1[i:i + m]
             b2 = kind.move(x2[i:i + m], params.theta2, out=buf2[:m])
             t = kind.contrast(b2, b1)
-            xi, ps = task.candidate.psi(t), task.reference.psi(t)
+            xi, ps = _kernel_values(task.candidate, task.reference, t)
             edge, below = task.loss.halfline(xi, ps)
             z = b1 if target == 1 else b2
             if theta != kind.identity:
@@ -173,6 +173,18 @@ def gpn_monte_carlo(
             f"outside its domain for {task.candidate.name} vs {task.reference.name}"
         )
     return GpnResult.from_counts(wins, ties, n, task.seed)
+
+
+def _kernel_values(candidate: Estimator, reference: Estimator, t):
+    """The candidate's and the reference's kernel values (xi, ps) at t.
+    Where one is the clamp of the other, in either order, their shared base
+    kernel is evaluated once and clipped.
+    """
+    if candidate.base is reference:
+        ps = reference.psi(t)
+        return candidate.clip(ps, t), ps
+    xi = candidate.psi(t)
+    return xi, reference.clip(xi, t) if reference.base is candidate else reference.psi(t)
 
 
 def _identity_draws(task: ComparisonTask) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +228,7 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
             model.kind.check_contrast(t)
             jacobian = np.concatenate([seg.jacobian(p) for seg, p in zip(segments, pieces)])
             weight = model._pdf(lam, t) * jacobian
-            xi = task.candidate.psi(t)
-            ps = task.reference.psi(t)
+            xi, ps = _kernel_values(task.candidate, task.reference, t)
             if not (np.isfinite(xi).all() and np.isfinite(ps).all()):
                 raise DomainError(
                     f"{task.candidate.name} vs {task.reference.name} gives a "

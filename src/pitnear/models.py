@@ -6,7 +6,7 @@ D = X2 - X1 with gap parameter lam = theta2 - theta1 >= 0; scale models use
 D = X2 / X1 with lam = theta2 / theta1 >= 1. ProblemKind owns every rule that
 differs between the two groups: the identity gap, the contrast, its domain
 and its inverse, the parameter and gap checks, the equivariant estimate
-X_i - psi(D) or psi(D) * X_i and the clamp band of a kernel. The engines
+X_i - psi(D) or psi(D) * X_i and the clamp projection of a kernel. The engines
 call each model's unchecked element-wise bodies _median, _cdf and _pdf; the
 pure cond_median, cond_cdf and d_density check their arguments (scalars or
 ndarrays) first. Sampling draws arrays only: size draws of each component
@@ -97,17 +97,34 @@ class ProblemKind(Enum):
         """
         return x - psi if self is ProblemKind.LOCATION else psi * x
 
-    def kernel_band(self, near, far):
-        """The band (l, u) of a kernel whose conditional median runs from the
-        array near to the scalar far: each end maps to kernel space, as it is
-        for location and as 1/x for scale (1/0 = inf, 1/inf = 0), and the
-        band is (fmin, fmax) of the two. A NaN far leaves both ends at near.
+    def kernel_clip(self, far):
+        """The projection clip(values, near) of kernel values onto the band
+        of a kernel whose conditional median runs from the array near to the
+        scalar far: each end maps to kernel space, as it is for location and
+        as 1/x for scale (1/0 = inf, 1/inf = 0), the band is (fmin, fmax) of
+        the two, and values go to max(lower, min(values, upper)). far is
+        mapped here, once. A NaN far leaves both ends at near; an infinite
+        one bounds nothing, so only near's side is applied.
         """
-        if self is ProblemKind.SCALE:
-            # np.divide, since a Python float far of 0.0 would raise
+        scale = self is ProblemKind.SCALE
+
+        def to_kernel(x):
+            if not scale:
+                return x
             with np.errstate(divide="ignore"):
-                near, far = np.divide(1.0, near), np.divide(1.0, far)
-        return np.fmin(near, far), np.fmax(near, far)
+                return np.divide(1.0, x)
+
+        far = to_kernel(far)
+        if far == np.inf:
+            return lambda values, near: np.maximum(to_kernel(near), values)
+        if far == -np.inf:
+            return lambda values, near: np.minimum(values, to_kernel(near))
+
+        def clip(values, near):
+            near = to_kernel(near)
+            return np.maximum(np.fmin(near, far), np.minimum(values, np.fmax(near, far)))
+
+        return clip
 
     def check_gap(self, gap: float) -> None:
         """The gap domain: a location gap is >= 0 and a scale gap >= 1."""

@@ -22,9 +22,10 @@ falls below abs_tol, three levels more, and at most 200 levels past three
 times the panel's depth. Where no decay shows, it goes to three times the
 panel's depth. A descent into a cut thus mostly takes one call after its
 first. Panels asked for ahead may lie where the loop never goes: if a call
-raises, each integral's need is evaluated in a call of its own, so an
-integral fails only where it fails alone, and an integral sent only its
-need asks for nothing ahead for the rest of its run.
+raises, each integral's need is evaluated in a call of its own (unless the
+call held one integral's need and nothing more), so an integral fails only
+where it fails alone, and an integral sent only its need asks for nothing
+ahead for the rest of its run.
 
 Integrals in lockstep each keep their own cuts, heap, total, error, panels
 known ahead and panel budget, and every round puts all their requests into
@@ -205,7 +206,8 @@ def adaptive_quadrature(
 def _round(f, requests: dict, n: int) -> dict:
     """For each integral's (need, ahead) request, the (value, error) list of
     need + ahead, or of need alone, or the error its need raised alone: one
-    call on all panels, and if it raises, one call per integral on its need.
+    call on all panels, and if it raises, one call per integral on its need,
+    unless that call held one integral's need alone, which it would repeat.
     """
 
     def call(parts):
@@ -216,9 +218,11 @@ def _round(f, requests: dict, n: int) -> dict:
 
     try:
         return call({i: need + ahead for i, (need, ahead) in requests.items()})
-    except Exception:
+    except Exception as error:
+        # one integral's need alone would be called again as it was
+        if len(requests) == 1 and not any(ahead for _, ahead in requests.values()):
+            return dict.fromkeys(requests, error)
         # an error at a needed node recurs in its integral's own call below
-        pass
     out = {}
     for i, (need, _) in requests.items():
         try:

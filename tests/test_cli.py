@@ -647,7 +647,7 @@ GOLDEN = [
     *(
         (["table", str(t), "--samples", "100000", "--seed", "3", "--out", "csv"],
          f"table{t}_n100000_seed3.csv")
-        for t in (1, 4)
+        for t in (1, 2, 4, 5)
     ),
     (["run", str(DATA / "run_gamma_oracle.json"), "--out", "csv"], "run_gamma_oracle.csv"),
     (["run", str(DATA / "run_normal_nu.json")], "run_normal_nu.md"),

@@ -464,6 +464,35 @@ class TestMedianBand:
                 want = np.maximum(lower, np.minimum(psi(t), upper))
                 assert star.psi(t).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("model", BAND_MODELS)
+    @pytest.mark.parametrize("component", [1, 2])
+    def test_clip_matches_the_band_formula_for_every_clamp(self, model, component):
+        # every catalog clamp, and a clamp of the catalog's first kernel
+        # (normal component 1 at alpha 1 has none in the catalog; its far
+        # end is NaN): clip takes the far end mapped once and, where it is
+        # infinite, only near's side, yet gives max(lower, min(values,
+        # upper)) bit for bit, or a non-finite value where that is non-finite
+        kind = model.kind
+        tiny = [0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e300, np.inf]
+        t = np.array(tiny + [-x for x in tiny] + [np.nan])
+        values = [-np.inf, -1e300, -0.0, 0.0, 5e-324, 1.0, 1e300, np.inf, np.nan]
+        stars = [est for est in catalog(model, component) if est.base is not None]
+        stars.append(clamp(catalog(model, component)[0], model))
+        with np.errstate(all="ignore"):
+            far = model._median(component, np.inf, kind.identity)
+            near = model._median(component, kind.identity, t)
+            if kind is ProblemKind.SCALE:
+                near, far = np.divide(1.0, near), np.divide(1.0, far)
+            lower, upper = np.fmin(near, far), np.fmax(near, far)
+            for star in stars:
+                for psi in [star.base.psi(t)] + [np.full_like(t, v) for v in values]:
+                    want = np.maximum(lower, np.minimum(psi, upper))
+                    got = star.clip(psi, t)
+                    finite = np.isfinite(want)
+                    assert got[finite].tobytes() == want[finite].tobytes()
+                    assert not np.isfinite(got[~finite]).any()
+                assert star.psi(t).tobytes() == star.clip(star.base.psi(t), t).tobytes()
+
     def test_exponential_component2(self):
         m = ExponentialLocation(2.0, 3.0)
         c = m.pooled_scale * LN2

@@ -13,7 +13,7 @@ import pytest
 import pitnear.cli as cli
 import pitnear.gpn as gpn
 from pitnear.errors import DomainError
-from pitnear.estimators import Estimator, LossFn, resolve_estimator
+from pitnear.estimators import Estimator, LossFn, catalog, clamp, resolve_estimator
 from pitnear.gpn import (
     ComparisonTask,
     GpnResult,
@@ -442,6 +442,86 @@ class TestOracle:
                 sq, t_abs.n_samples, t_abs.seed,
             )
             assert gpn_monte_carlo(t_sq) == gpn_monte_carlo(t_abs)
+
+
+# Models whose catalogs hold every kind of clamp: the normal mixing
+# coefficient above 1, in (0, 1), below 0, exactly 1, and exactly 0 (where
+# component 2's far end is NaN), and the other three models.
+STAR_MODELS = [
+    BivariateNormal(0.5, 5.0, 0.9),
+    BivariateNormal(1.0, 1.0, 0.0),
+    BivariateNormal(5.0, 0.5, 0.9),
+    BivariateNormal(1.0, 2.0, 0.5),
+    BivariateNormal(2.0, 1.0, 0.5),
+    ExponentialLocation(1.0, 2.0),
+    GammaScale(0.5, 0.2),
+    GammaScale(30.0, 1.0),
+    PowerScale(2.0, 0.5),
+]
+STARS = [(model, star) for model in STAR_MODELS for component in (1, 2)
+         for star in catalog(model, component) if star.base is not None]
+
+
+def star_gaps(model):
+    return (0.0, 0.5, 2.0, 10.0) if model.kind is ProblemKind.LOCATION else (1.0, 1.5, 4.0, 100.0)
+
+
+def star_task(model, gap, cand, ref, n=2 ** 12):
+    return ComparisonTask(model, model.kind.pinned_params(gap), cand, ref,
+                          LossFn(model.kind), n_samples=n, seed=7)
+
+
+class TestSharedBaseKernel:
+    @pytest.mark.parametrize("model, component, name", [
+        (BivariateNormal(0.5, 5.0, 0.9), 1, "hp"),
+        (ExponentialLocation(1.0, 2.0), 2, "pnlee"),
+        (GammaScale(0.5, 0.2), 2, "rmle"),
+        (PowerScale(2.0, 0.5), 1, "pnsee"),
+    ])
+    @pytest.mark.parametrize("star_first", [True, False], ids=["star_base", "base_star"])
+    def test_base_kernel_evaluated_once_per_block_and_integrand_call(
+        self, monkeypatch, model, component, name, star_first
+    ):
+        evaluations = []
+        base = resolve_estimator(model, component, name)
+        counted = replace(base, psi=lambda t: evaluations.append(t.size) or base.psi(t))
+        star = clamp(counted, model)
+        pair = (star, counted) if star_first else (counted, star)
+        # four blocks of draws, the last of 5
+        gpn_monte_carlo(star_task(model, 2.0, *pair, n=3 * 2 ** 14 + 5))
+        assert evaluations == [2 ** 14] * 3 + [5]
+
+        calls = []
+        quadrature = gpn.adaptive_quadrature
+
+        def counting(f, a, b, **kw):
+            return quadrature(lambda x, sizes: calls.append(x.size) or f(x, sizes), a, b, **kw)
+
+        monkeypatch.setattr(gpn, "adaptive_quadrature", counting)
+        evaluations.clear()
+        gpn_oracle(star_task(model, 2.0, *pair))
+        assert calls and evaluations == calls
+
+    @pytest.mark.parametrize("model, star", STARS)
+    def test_cells_equal_those_of_a_star_without_its_base(self, model, star):
+        # a copy without base and clip evaluates the base kernel twice
+        alone = replace(star, base=None, clip=None)
+        for gap in star_gaps(model):
+            for pair, copy in (((star, star.base), (alone, star.base)),
+                               ((star.base, star), (star.base, alone))):
+                task, twice = star_task(model, gap, *pair), star_task(model, gap, *copy)
+                assert gpn_monte_carlo(task) == gpn_monte_carlo(twice)
+                assert gpn_oracle(task) == gpn_oracle(twice)
+
+    @pytest.mark.parametrize("model, star", STARS)
+    def test_star_pair_and_its_swap_sum_to_one(self, model, star):
+        for gap in star_gaps(model):
+            fwd = star_task(model, gap, star, star.base)
+            rev = star_task(model, gap, star.base, star)
+            assert gpn_monte_carlo(fwd).estimate + gpn_monte_carlo(rev).estimate == 1.0
+            # the oracle integrates cdf - 1/2 and (1 - cdf) - 1/2, each
+            # rounded, so a swap may sum to 1 less one ulp
+            assert abs(gpn_oracle(fwd) + gpn_oracle(rev) - 1.0) <= 2.0 ** -52
 
 
 @pytest.fixture

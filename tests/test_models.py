@@ -64,25 +64,30 @@ class TestRestrictedParams:
 
 
 # Per kind: estimate(x=3, psi=2); the kernel band (lower, upper) of the
-# medians near = BAND_NEAR and each far in BAND_FARS; in_domain of
-# CONTRASTS; and whether (-1, 1) and (0, 1) are parameters.
+# medians near = BAND_NEAR and each far in BAND_FARS, read as the clip of
+# -inf and inf; in_domain of CONTRASTS; and whether (-1, 1) and (0, 1) are
+# parameters.
 CONTRASTS = np.array([-1.0, -0.0, 0.0, 0.5, np.inf, -np.inf, np.nan])
 BAND_NEAR = np.array([0.0, 0.5, 2.0, np.inf])
-BAND_FARS = (1.0, 0.0, math.nan)
 INF = math.inf
+BAND_FARS = (1.0, 0.0, math.nan, INF, -INF)
 KIND_RULES = {
     ProblemKind.LOCATION: (
         1.0,
         [([0.0, 0.5, 1.0, 1.0], [1.0, 1.0, 2.0, INF]),
          ([0.0, 0.0, 0.0, 0.0], [0.0, 0.5, 2.0, INF]),
-         ([0.0, 0.5, 2.0, INF], [0.0, 0.5, 2.0, INF])],  # a NaN far: both ends near
+         ([0.0, 0.5, 2.0, INF], [0.0, 0.5, 2.0, INF]),  # a NaN far: both ends near
+         ([0.0, 0.5, 2.0, INF], [INF, INF, INF, INF]),
+         ([-INF, -INF, -INF, -INF], [0.0, 0.5, 2.0, INF])],
         [True, True, True, True, False, False, False], True,
     ),
     ProblemKind.SCALE: (
         6.0,
         [([1.0, 1.0, 0.5, 0.0], [INF, 2.0, 1.0, 1.0]),  # 1/0 = inf, 1/inf = 0
          ([INF, 2.0, 0.5, 0.0], [INF, INF, INF, INF]),
-         ([INF, 2.0, 0.5, 0.0], [INF, 2.0, 0.5, 0.0])],
+         ([INF, 2.0, 0.5, 0.0], [INF, 2.0, 0.5, 0.0]),
+         ([0.0, 0.0, 0.0, 0.0], [INF, 2.0, 0.5, 0.0]),
+         ([0.0, 0.0, 0.0, 0.0], [INF, 2.0, 0.5, 0.0])],  # 1/-inf = -0.0
         [False, False, False, True, False, False, False], False,
     ),
 }
@@ -109,7 +114,8 @@ def test_problem_kind_conventions(kind, identity, below):
     estimate, bands, in_domain, signed_params = KIND_RULES[kind]
     assert kind.estimate(3.0, 2.0) == estimate
     for far, (want_lower, want_upper) in zip(BAND_FARS, bands):
-        lower, upper = kind.kernel_band(BAND_NEAR, far)
+        clip = kind.kernel_clip(far)
+        lower, upper = (clip(np.full(4, end), BAND_NEAR) for end in (-INF, INF))
         assert lower.tolist() == want_lower and upper.tolist() == want_upper
     assert kind.in_domain(CONTRASTS).tolist() == in_domain
 

@@ -365,8 +365,8 @@ def test_a_fall_back_stops_the_chains_asked_for_ahead():
     # (its one-panel-per-call loop evaluates nodes down to 4.7e-19): the
     # call holding the first chain raises and the need alone does not;
     # later requests ask for their need only, and the first need that
-    # reaches below 1e-15 raises twice: in the round's call and in the
-    # fall-back call on the need alone
+    # reaches below 1e-15 raises once: a call that held one need and
+    # nothing ahead is not repeated
     raised = []
 
     def f(x):
@@ -380,7 +380,7 @@ def test_a_fall_back_stops_the_chains_asked_for_ahead():
     raised.clear()
     with pytest.raises(ValueError, match="below 1e-15"):
         _one(f, 0.0, 1.0, abs_tol=1e-9, max_panels=10 ** 6)
-    assert len(raised) == 3
+    assert raised == [1650, 990]
 
 
 def _fails_on(bad0, bad1):
