@@ -13,7 +13,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -200,13 +200,15 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
     kernel breakpoints inserted as panel boundaries. The model's quadrature
     segments are integrated in lockstep: each integrand call maps each
     segment's nodes to contrasts by that segment's change of variable, and
-    evaluates the rest once on all of them. It checks only that its nodes
-    lie in the contrast's domain, then calls the model's unchecked _pdf and
-    _cdf. A node outside it, or a kernel value that is not finite at a node,
-    fails the cell with a DomainError, as it fails a draw of the Monte Carlo
-    engine. numpy does not warn of an overflow or invalid value in a call:
-    each has its right limit or fails the cell, at those checks or at the
-    quadrature's finite-sum check.
+    evaluates the density and both kernels once on all of them. It checks
+    only that its nodes lie in the contrast's domain, then calls the model's
+    unchecked _pdf, and its unchecked _cdf only at the nodes where the two
+    kernels differ: where they agree the integrand is 1/2 whatever the
+    pivot's law. A node outside the domain, or a kernel value that is not
+    finite at a node, fails the cell with a DomainError, as it fails a draw
+    of the Monte Carlo engine. numpy does not warn of an overflow or
+    invalid value in a call: each has its right limit or fails the cell, at
+    those checks or at the quadrature's finite-sum check.
     """
     if task.candidate == task.reference:
         return 0.5
@@ -223,7 +225,8 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
 
     def integrand(s, sizes):
         with np.errstate(over="ignore", invalid="ignore"):
-            pieces = np.split(s, np.cumsum(sizes)[:-1])
+            offsets = [0, *accumulate(sizes)]
+            pieces = [s[a:b] for a, b in zip(offsets, offsets[1:])]
             t = np.concatenate([seg.to_t(p) for seg, p in zip(segments, pieces)])
             model.kind.check_contrast(t)
             jacobian = np.concatenate([seg.jacobian(p) for seg, p in zip(segments, pieces)])
@@ -236,8 +239,12 @@ def gpn_oracle(task: ComparisonTask, abs_tol: float = 1e-8) -> float:
                 )
             # P[candidate beats reference | D = t]: the pivot's half-line event
             edge, below = task.loss.halfline(xi, ps)
-            cdf = model._cdf(component, lam, t, edge)
-            g = np.where(xi == ps, 0.5, np.where(below, cdf, 1.0 - cdf))
+            # where the kernels agree g is 1/2 whatever the pivot's CDF, and
+            # a CDF of 1/2 gives it on either side of the edge
+            live = xi != ps
+            cdf = np.full_like(t, 0.5)
+            cdf[live] = model._cdf(component, lam, t[live], edge[live])
+            g = np.where(below, cdf, 1.0 - cdf)
             return (g - 0.5) * weight
 
     # called through the module global, which a tracer may replace

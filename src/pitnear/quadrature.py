@@ -22,10 +22,10 @@ falls below abs_tol, three levels more, and at most 200 levels past three
 times the panel's depth. Where no decay shows, it goes to three times the
 panel's depth. A descent into a cut thus mostly takes one call after its
 first. Panels asked for ahead may lie where the loop never goes: if a call
-raises, each integral's need is evaluated in a call of its own (unless the
-call held one integral's need and nothing more), so an integral fails only
-where it fails alone, and an integral sent only its need asks for nothing
-ahead for the rest of its run.
+raises, each integral's need is evaluated in a call of its own, in index
+order up to the first that raises (unless the call held one integral's need
+and nothing more), so an integral fails only where it fails alone, and an
+integral sent only its need asks for nothing ahead for the rest of its run.
 
 Integrals in lockstep each keep their own cuts, heap, total, error, panels
 known ahead and panel budget, and every round puts all their requests into
@@ -206,8 +206,10 @@ def adaptive_quadrature(
 def _round(f, requests: dict, n: int) -> dict:
     """For each integral's (need, ahead) request, the (value, error) list of
     need + ahead, or of need alone, or the error its need raised alone: one
-    call on all panels, and if it raises, one call per integral on its need,
-    unless that call held one integral's need alone, which it would repeat.
+    call on all panels, and if it raises, one call per integral on its need
+    in index order, up to the first that raises (unless the call held one
+    integral's need alone, which it would repeat). The integrals after it
+    get no figures: their loops stop at its failure.
     """
 
     def call(parts):
@@ -229,6 +231,7 @@ def _round(f, requests: dict, n: int) -> dict:
             out.update(call({i: need}))
         except Exception as error:
             out[i] = error
+            break
     return out
 
 

@@ -413,6 +413,39 @@ class TestOracle:
             monkeypatch.setattr(cls, "d_density", checked)
         assert [gpn_oracle(task) for task in tasks] == values
 
+    def test_equal_kernels_call_no_conditional_cdf(self, monkeypatch):
+        # two names for one kernel tie at every node: the integrand is 1/2
+        # there, so the oracle gives exactly 1/2 without the pivot's law
+        model = GammaScale(0.5, 0.2)
+        received = []
+        cdf = GammaScale._cdf
+        monkeypatch.setattr(GammaScale, "_cdf", lambda self, c, lam, t, s: (
+            received.append(t.size) or cdf(self, c, lam, t, s)))
+        rmle = resolve_estimator(model, 2, "rmle")
+        task = task_for(model, 2.0, "rmle", "rmle")
+        assert gpn_oracle(replace(task, candidate=replace(rmle, name="copy"))) == 0.5
+        assert received and sum(received) == 0
+
+    @pytest.mark.parametrize("model, component, name", [
+        (BivariateNormal(0.5, 5.0, 0.9), 1, "hp"),
+        (GammaScale(0.5, 0.2), 2, "rmle"),
+    ])
+    def test_conditional_cdf_only_where_the_kernels_differ(self, monkeypatch, model, component, name):
+        base = resolve_estimator(model, component, name)
+        star = next(e for e in catalog(model, component) if e.base is base)
+        nodes = {"cdf": [], "pdf": []}
+        cls = type(model)
+        cdf, pdf = cls._cdf, cls._pdf
+        monkeypatch.setattr(cls, "_cdf", lambda self, c, lam, t, s: (
+            nodes["cdf"].append(t) or cdf(self, c, lam, t, s)))
+        monkeypatch.setattr(cls, "_pdf", lambda self, lam, t: (
+            nodes["pdf"].append(t) or pdf(self, lam, t)))
+        gpn_oracle(star_task(model, star_gaps(model)[2], star, base))
+        received = np.concatenate(nodes["cdf"])
+        assert (star.psi(received) != base.psi(received)).all()
+        # the clamp is inactive at some nodes, and those are not passed on
+        assert 0 < received.size < sum(t.size for t in nodes["pdf"])
+
     def test_both_engines_decide_by_the_task_loss(self, monkeypatch):
         # a loss whose half-line event is flipped turns every win into a
         # loss and keeps the ties, in both engines

@@ -254,20 +254,25 @@ class TestCondCdf:
                     0.5, abs=1e-10
                 )
 
+    @pytest.mark.parametrize("model", [*ALL_MODELS, GammaScale(0.5, 0.2)])
     @pytest.mark.parametrize("component", [1, 2])
-    def test_gamma_batch_independent(self, component):
-        # one call, two uneven pieces, or one node at a time: identical bits
-        model = GammaScale(0.5, 0.2)
-        lam = 2.0
-        t = np.geomspace(1e-12, 1e6, 40)
-        s = np.geomspace(1e-3, 1e3, 40)[::-1]
+    def test_batch_independent(self, model, component):
+        # one call, two uneven pieces, one node at a time, or the nodes a
+        # mask keeps (none, too): identical bits. The oracle's integrand
+        # passes _cdf only the nodes where the kernels differ.
+        if model.kind is ProblemKind.LOCATION:
+            lam, t, s = 0.7, np.linspace(-9.0, 9.0, 40), np.linspace(-6.0, 6.0, 40)[::-1]
+        else:
+            lam, t, s = 2.0, np.geomspace(1e-12, 1e6, 40), np.geomspace(1e-3, 1e3, 40)[::-1]
 
-        def cdf(i, j):
-            return model.cond_cdf(component, lam, t[i:j], s[i:j])
+        def cdf(keep):
+            return model._cdf(component, lam, t[keep], s[keep]).tobytes()
 
-        whole = cdf(0, 40).tobytes()
-        assert np.concatenate([cdf(0, 13), cdf(13, 40)]).tobytes() == whole
-        assert np.concatenate([cdf(i, i + 1) for i in range(40)]).tobytes() == whole
+        whole = model._cdf(component, lam, t, s)
+        assert cdf(slice(0, 13)) + cdf(slice(13, 40)) == whole.tobytes()
+        assert b"".join(cdf(slice(i, i + 1)) for i in range(40)) == whole.tobytes()
+        for mask in (np.arange(40) % 3 != 1, t > t[26], np.zeros(40, dtype=bool)):
+            assert cdf(mask) == whole[mask].tobytes()
 
     def test_normal_lower_limit(self):
         assert NORMAL.cond_cdf(1, 0.0, 1.0, -40.0) == pytest.approx(0.0, abs=1e-15)

@@ -424,6 +424,26 @@ def test_lockstep_raises_the_first_failing_integral(bad0, bad1, error, match):
     assert parts == ([[True, True], [False, True]] if bad1 else [])
 
 
+def test_a_fall_back_stops_at_the_first_need_that_raises():
+    # integral 1 raises wherever it has nodes: once the call on every panel
+    # fails, integral 0's need is called alone, then integral 1's, which
+    # raises; integral 2's is not called, as its loop stops at that failure,
+    # and integral 0 runs on alone
+    calls = []
+
+    def f(x, sizes):
+        calls.append([n > 0 for n in sizes])
+        if sizes[1]:
+            raise ValueError("integral 1")
+        return np.sin(x)
+
+    with pytest.raises(ValueError, match="integral 1"):
+        adaptive_quadrature(f, [0.0] * 3, [1.0] * 3, breakpoints=[[], [], []], abs_tol=1e-9,
+                            max_panels=2000)
+    assert calls[:3] == [[True, True, True], [True, False, False], [False, True, False]]
+    assert all(parts == [True, False, False] for parts in calls[3:])
+
+
 # integrands not finite above 0.7; the last has inf and -inf in one panel,
 # whose sums are then NaN
 NON_FINITE = {
